@@ -29,13 +29,11 @@ from .extremal import (
     wv_stage_length_simple,
 )
 from .numeration import (
-    USequence,
     normal_u_rep,
     prefix_b_count,
     prefix_decomposition,
     u_rep_value,
     u_value,
-    usequence,
 )
 from .oracle import (
     ORACLE_N_CAP,
@@ -60,10 +58,7 @@ from .words import (
     WordStream,
     apply,
     fixed_point_prefix,
-    incidence_matrix,
     make_morphism,
-    mat_mul,
-    mat_pow,
     parikh,
     parikh_image,
 )
@@ -75,14 +70,13 @@ __all__ = [
     "ACResult", "CapExceededError", "Family", "Morphism",
     "METHOD_CLOSED_FORM", "METHOD_PREFIX_DIFFERENCE", "METHOD_STURMIAN",
     "ORACLE_N_CAP", "OracleInstabilityError", "ParikhInterval",
-    "ParikhVector", "USequence", "UnsupportedConstructionError", "WordStream",
+    "ParikhVector", "UnsupportedConstructionError", "WordStream",
     "ac", "ac_nonsimple", "ac_simple", "ac_via_prefix_counts", "apply",
     "balance_bound", "choose_k_nonsimple", "choose_mn_simple",
-    "fixed_point_prefix", "incidence_matrix", "make_morphism",
-    "mat_mul", "mat_pow", "max_ac", "normal_u_rep", "oracle_ac",
+    "fixed_point_prefix", "make_morphism", "max_ac", "normal_u_rep", "oracle_ac",
     "parikh", "parikh_extrema", "parikh_image", "parikh_set",
     "prefix_b_count", "prefix_decomposition", "u_rep_value", "u_value",
-    "usequence", "v_b_count_simple", "w_b_count_nonsimple",
+    "v_b_count_simple", "w_b_count_nonsimple",
     "w_b_count_simple", "w_prefix_nonsimple", "w_stage_length_nonsimple",
     "wv_prefix_simple", "wv_stage_length_simple",
 ]

@@ -10,7 +10,11 @@ where w_n and v_n are the length-n prefixes of the B-richest and
 B-poorest words.  Both counts have closed forms in the greedy U digits of
 n, giving AC(n) in O(log n) exact integer operations.  All matrix terms
 are evaluated through the cached row vectors (1,0) M^k; no rational
-matrix inverse is ever formed.
+matrix inverse is ever formed.  Stage lengths and the telescoped sum T
+below are partial sums of sequences with x_{k+2} = t x_{k+1} - d x_k
+(t, d the trace and determinant of M), so each costs O(1): the closed
+form in `numeration` divides exactly by det(I - M), which is -q or
+1 - p - q, or by det(I - M^2) for a sum over every other index.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .extremal import (
     w_stage_length_nonsimple,
     wv_stage_length_simple,
 )
-from .numeration import normal_u_rep, prefix_b_count, usequence
+from .numeration import b_weight, normal_u_rep, power_rows, prefix_b_count, recurrence_sum, u_value
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -59,12 +63,10 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     elif n > w_stage_length_nonsimple(m, k):
         raise ValueError(
             f"k={k} is inadmissible: n={n} exceeds |w^({k})|={w_stage_length_nonsimple(m, k)}")
-    useq = usequence(m)
     d = normal_u_rep(m, n, min_places=k + 1)
-    e = normal_u_rep(m, useq.value(k + 1) - n, min_places=k + 1)
-    # most-significant-first strings: the digit of weight U_j sits at index k - j
-    crossing = sum((d[k - j] + e[k - j]) * useq.value(j - 1) for j in range(1, k + 1))
-    value = 1 + useq.value(k) - crossing
+    e = normal_u_rep(m, u_value(m, k + 1) - n, min_places=k + 1)
+    # U_{j-1} = |phi^j(A)|_B for j >= 1 and |A|_B = 0 in this family
+    value = 1 + u_value(m, k) - b_weight(m, d) - b_weight(m, e)
     assert value >= 2, (m, n, k, value)
     return value
 
@@ -90,16 +92,13 @@ def ac_simple(m: Morphism, n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     m_stage, n_stage, j_idx = choose_mn_simple(m, n)
-    useq = usequence(m)
     c = normal_u_rep(m, n - wv_stage_length_simple(m, W, n_stage), min_places=j_idx + 1)
     d = normal_u_rep(m, n - wv_stage_length_simple(m, V, m_stage), min_places=j_idx + 1)
     assert len(c) == len(d) == j_idx + 1
-    telescoped = sum(
-        useq.b_of_power(2 * i + 1) - useq.b_of_power(2 * i) for i in range(n_stage))
-    overlap = (m_stage - n_stage + 1) * useq.b_of_power(2 * n_stage)
-    digit_term = sum(
-        (ci - di) * useq.b_of_power(j_idx - i) for i, (ci, di) in enumerate(zip(c, d)))
-    value = 2 + (m.q - 1) * (telescoped - overlap) + digit_term
+    telescoped = (recurrence_sum(m, (0, 1), 2 * n_stage - 1, 2)
+                  - recurrence_sum(m, (0, 1), 2 * n_stage - 2, 2))
+    overlap = (m_stage - n_stage + 1) * power_rows(m, 2 * n_stage)[1][2 * n_stage]
+    value = 2 + (m.q - 1) * (telescoped - overlap) + b_weight(m, c) - b_weight(m, d)
     assert value >= 2, (m, n, value)
     return value
 

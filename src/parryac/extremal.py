@@ -12,7 +12,7 @@ logarithmic-time complexity formulas possible.
 
 from __future__ import annotations
 
-from .numeration import normal_u_rep, usequence
+from .numeration import b_weight, normal_u_rep, recurrence_sum, top_index, u_value
 from .words import (
     B,
     Family,
@@ -58,18 +58,15 @@ def w_prefix_nonsimple(m: Morphism, length: int) -> str:
 
 
 def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
-    """|w^(stage)| = 1 + sum_{j=1..stage} |phi^j(B)|."""
+    """|w^(stage)| = sum_{j=0..stage} |phi^j(B)|.
+
+    phi^{j+1}(A) = (phi^j(A))^p phi^j(B), so |phi^j(B)| = U_{j+1} - p U_j,
+    which is |phi^j(A)|_A + (q + 1 - p) |phi^j(A)|_B by one row step.
+    """
     _require_family(m, Family.NONSIMPLE, "w_stage_length_nonsimple")
     if stage < 0:
         raise ValueError(f"stage must be nonnegative, got {stage}")
-    useq = usequence(m)
-    total = 1           # w^(0) = B
-    phi_b_len = 1       # |phi^0(B)|
-    for j in range(1, stage + 1):
-        # phi^j(B) = (phi^{j-1}(A))^q phi^{j-1}(B)
-        phi_b_len += m.q * useq.value(j - 1)
-        total += phi_b_len
-    return total
+    return recurrence_sum(m, (1, m.q + 1 - m.p), stage)
 
 
 def choose_k_nonsimple(m: Morphism, n: int) -> int:
@@ -82,14 +79,15 @@ def choose_k_nonsimple(m: Morphism, n: int) -> int:
     _require_family(m, Family.NONSIMPLE, "choose_k_nonsimple")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return usequence(m).index_for(n) + 2
+    return top_index(m, n) + 2
 
 
 def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     """Number of B's in the length-n prefix of w, via stage k.
 
     Requires n <= |w^(k)|.  With (e_k, ..., e_0) the greedy digits of
-    U_{k+1} - n, the count is U_k - sum_{j=1..k} e_j U_{j-1}.
+    U_{k+1} - n, the count is U_k - sum_{j=1..k} e_j U_{j-1}, where
+    U_{j-1} = |phi^j(A)|_B in this family.
     """
     _require_family(m, Family.NONSIMPLE, "w_b_count_nonsimple")
     if n < 1:
@@ -99,11 +97,8 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     if n > w_stage_length_nonsimple(m, k):
         raise IndexError(
             f"n={n} exceeds |w^({k})|={w_stage_length_nonsimple(m, k)}; pick a larger k")
-    useq = usequence(m)
-    digits = normal_u_rep(m, useq.value(k + 1) - n, min_places=k + 1)
-    # digits = (e_k, ..., e_0); e_j sits at index k - j
-    return useq.value(k) - sum(
-        digits[k - j] * useq.value(j - 1) for j in range(1, k + 1))
+    digits = normal_u_rep(m, u_value(m, k + 1) - n, min_places=k + 1)
+    return u_value(m, k) - b_weight(m, digits)
 
 
 # --- simple family (q > 1) ----------------------------------------------------
@@ -132,14 +127,11 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     """
     _check_which(which)
     _require_simple_extremal(m, "wv_stage_length_simple")
-    useq = usequence(m)
-    if which == V:
-        if stage < -1:
-            raise ValueError(f"v stages start at -1, got {stage}")
-        return 1 + (m.q - 1) * sum(useq.value(2 * j) for j in range(stage + 1))
-    if stage < 0:
-        raise ValueError(f"w stages start at 0, got {stage}")
-    return 1 + (m.q - 1) * sum(useq.value(2 * j + 1) for j in range(stage))
+    first = -1 if which == V else 0
+    if stage < first:
+        raise ValueError(f"{which} stages start at {first}, got {stage}")
+    top = 2 * stage if which == V else 2 * stage - 1
+    return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2)
 
 
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
@@ -154,7 +146,7 @@ def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     _require_simple_extremal(m, "choose_mn_simple")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    j_idx = usequence(m).index_for(n)
+    j_idx = top_index(m, n)
     if j_idx % 2 == 0:
         n_stage = j_idx // 2
         m_stage = n_stage if wv_stage_length_simple(m, V, n_stage) <= n else n_stage - 1
@@ -183,11 +175,8 @@ def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:
     if not low <= n < high:
         raise ValueError(
             f"stage mismatch: need |v^({stage})|={low} <= n < |v^({stage + 1})|={high}, got n={n}")
-    useq = usequence(m)
-    digits = normal_u_rep(m, n - low)
-    top = len(digits) - 1
-    fixed = (m.q - 1) * sum(useq.b_of_power(2 * i) for i in range(stage + 1))
-    return fixed + sum(d * useq.b_of_power(top - i) for i, d in enumerate(digits))
+    fixed = (m.q - 1) * recurrence_sum(m, (0, 1), 2 * stage, 2)
+    return fixed + b_weight(m, normal_u_rep(m, n - low))
 
 
 def w_b_count_simple(m: Morphism, n: int, stage: int) -> int:
@@ -205,8 +194,5 @@ def w_b_count_simple(m: Morphism, n: int, stage: int) -> int:
     if not low <= n < high:
         raise ValueError(
             f"stage mismatch: need |w^({stage})|={low} <= n < |w^({stage + 1})|={high}, got n={n}")
-    useq = usequence(m)
-    digits = normal_u_rep(m, n - low)
-    top = len(digits) - 1
-    fixed = (m.q - 1) * sum(useq.b_of_power(2 * i + 1) for i in range(stage))
-    return 1 + fixed + sum(d * useq.b_of_power(top - i) for i, d in enumerate(digits))
+    fixed = (m.q - 1) * recurrence_sum(m, (0, 1), 2 * stage - 1, 2)
+    return 1 + fixed + b_weight(m, normal_u_rep(m, n - low))

@@ -1,12 +1,20 @@
 """The length sequence U_k = |phi^k(A)| and its greedy numeration system.
 
-U_0 = 1 and each next value comes from one more right-multiplication of the
-row vector (1, 0) by the incidence matrix, so U is strictly increasing and
-serves as the base of a positional numeration: every n >= 0 has a greedy
-digit string (d_N, ..., d_1, d_0), most significant digit first, with
-n = sum d_j U_j and every digit at most p.  Digit strings drive the prefix
-structure of the fixed point: the length-n prefix is the product
+One table per morphism holds the rows (1, 0) M^k = (|phi^k(A)|_A,
+|phi^k(A)|_B) of the incidence matrix M as two lists, grown by
+`parikh_image`.  U_k, the row's sum, starts at 1 and strictly increases, so
+it is the base of a positional numeration: every n >= 0 has a greedy digit
+string (d_N, ..., d_0), most significant first, with n = sum d_j U_j and
+every digit at most p.  The length-n prefix of the fixed point is then
 (phi^N(A))^{d_N} ... (phi(A))^{d_1} A^{d_0}.
+
+Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
+d x_k, with t and d the trace and determinant of M.  Summed over k, that
+gives x_0 + ... + x_k = (x_0 + x_1 - t x_0 + d x_k - x_{k+1}) / (1 - t + d)
+in O(1).  The division is exact, since the numerator is the integer sum
+times 1 - t + d = det(I - M), which is -q (non-simple) or 1 - p - q
+(simple), never 0.  Sums over every other k use M^2 (t^2 - 2d and d^2),
+whose divisor det(I - M) det(I + M) is never 0 either.
 
 n = 0 is accepted throughout this module (it shows up as a difference of
 lengths in the complexity formulas) even though the complexity itself is
@@ -16,67 +24,81 @@ defined only for n >= 1.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Sequence
 
-from .words import Family, Morphism
+from .words import Family, Morphism, parikh_image
 
-
-class USequence:
-    """Cached row vectors (1, 0) * M^k for one morphism.
-
-    value(k) is U_k = |phi^k(A)| and b_of_power(k) is |phi^k(A)|_B.  The
-    cache only grows; any already-cached index may be read concurrently,
-    while extension is serialized by a lock (single-writer contract).
-    """
-
-    def __init__(self, morphism: Morphism):
-        self.morphism = morphism
-        self._rows: list[tuple[int, int]] = [(1, 0)]
-        self._lock = threading.Lock()
-
-    def _extend_to(self, k: int) -> None:
-        with self._lock:
-            rows = self._rows
-            p, q = self.morphism.p, self.morphism.q
-            nonsimple = self.morphism.family is Family.NONSIMPLE
-            while len(rows) <= k:
-                a, b = rows[-1]
-                rows.append((a * p + b * q, (a + b) if nonsimple else a))
-
-    def row(self, k: int) -> tuple[int, int]:
-        if k < 0:
-            raise ValueError(f"index must be nonnegative, got {k}")
-        if k >= len(self._rows):
-            self._extend_to(k)
-        return self._rows[k]
-
-    def value(self, k: int) -> int:
-        a, b = self.row(k)
-        return a + b
-
-    def b_of_power(self, k: int) -> int:
-        """|phi^k(A)|_B, the second entry of the cached row vector."""
-        return self.row(k)[1]
-
-    def index_for(self, n: int) -> int:
-        """Smallest N >= 0 with n < U_{N+1}."""
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
-        k = 0
-        while self.value(k + 1) <= n:
-            k += 1
-        return k
+_rows_lock = threading.Lock()
 
 
 @lru_cache(maxsize=None)
-def usequence(morphism: Morphism) -> USequence:
-    return USequence(morphism)
+def _rows_cache(m: Morphism) -> tuple[list[int], list[int]]:
+    return [1], [0]
+
+
+def power_rows(m: Morphism, k: int) -> tuple[list[int], list[int]]:
+    """The lists of |phi^j(A)|_A and |phi^j(A)|_B, grown to cover j <= k.
+
+    They only grow, under a lock, the first list before the second, so any
+    index below the second's length may be read concurrently.
+    """
+    counts_a, counts_b = _rows_cache(m)
+    if len(counts_b) <= k:
+        with _rows_lock:
+            while len(counts_b) <= k:
+                row = parikh_image(m, (counts_a[-1], counts_b[-1]))
+                counts_a.append(row.count_a)
+                counts_b.append(row.count_b)
+    return counts_a, counts_b
 
 
 def u_value(m: Morphism, k: int) -> int:
     """U_k = |phi^k(A)|, memoized per morphism."""
-    return usequence(m).value(k)
+    if k < 0:
+        raise ValueError(f"index must be nonnegative, got {k}")
+    counts_a, counts_b = power_rows(m, k)
+    return counts_a[k] + counts_b[k]
+
+
+def top_index(m: Morphism, n: int) -> int:
+    """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    counts_a, counts_b = _rows_cache(m)
+    while counts_a[-1] <= n:
+        power_rows(m, len(counts_b))
+    # |phi^j(A)|_A <= U_j <= |phi^{j+1}(A)|_A, so with j the last index where
+    # |phi^j(A)|_A <= n, N is j or j - 1 (and 0 for n = 0, where j = -1)
+    j = bisect_right(counts_a, n) - 1
+    return max(j - (counts_a[j] + counts_b[j] > n), 0)
+
+
+def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1) -> int:
+    """Sum over 0 <= j <= k, j = k (mod step 1 or 2), of x_j = weights . row j.
+
+    Weights (1, 1) sum U, (0, 1) sum |phi^j(A)|_B; k < 0 gives 0.
+    """
+    if k < 0:
+        return 0
+    a, b = power_rows(m, k + step)
+    wa, wb = weights
+    r = k % step
+    x0, x1 = wa * a[r] + wb * b[r], wa * a[r + step] + wb * b[r + step]
+    xk, xk1 = wa * a[k] + wb * b[k], wa * a[k + step] + wb * b[k + step]
+    e = 1 if m.family is Family.NONSIMPLE else 0  # M = ((p, 1), (q, e))
+    trace, det = m.p + e, m.p * e - m.q
+    if step == 2:
+        trace, det = trace * trace - 2 * det, det * det
+    return (x0 + x1 - trace * x0 + det * xk - xk1) // (1 - trace + det)
+
+
+def b_weight(m: Morphism, digits: Sequence[int]) -> int:
+    """sum d_j |phi^j(A)|_B for a most-significant-first digit string."""
+    top = len(digits) - 1
+    counts_b = power_rows(m, top)[1]
+    return sum(d * counts_b[top - i] for i, d in enumerate(digits))
 
 
 def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[int, ...]:
@@ -87,18 +109,16 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     min_places when that is larger.  Padding never changes the value:
     sum(d_j * U_j) == n either way.  n = 0 yields (0,).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     if min_places is not None and min_places < 1:
         raise ValueError(f"min_places must be positive, got {min_places}")
-    useq = usequence(m)
-    top = useq.index_for(n)
+    top = top_index(m, n)
     if min_places is not None:
         top = max(top, min_places - 1)
+    counts_a, counts_b = power_rows(m, top)
     digits = []
     rest = n
     for j in range(top, -1, -1):
-        d, rest = divmod(rest, useq.value(j))
+        d, rest = divmod(rest, counts_a[j] + counts_b[j])
         digits.append(d)
     return tuple(digits)
 
@@ -109,9 +129,9 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     Inverse of normal_u_rep on greedy strings, but accepts any digit
     string, normal or not.
     """
-    useq = usequence(m)
     top = len(digits) - 1
-    return sum(d * useq.value(top - i) for i, d in enumerate(digits))
+    counts_a, counts_b = power_rows(m, top)
+    return sum(d * (counts_a[top - i] + counts_b[top - i]) for i, d in enumerate(digits))
 
 
 def prefix_decomposition(m: Morphism, n: int) -> tuple[tuple[int, int], ...]:
@@ -139,7 +159,4 @@ def prefix_b_count(m: Morphism, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    useq = usequence(m)
-    digits = normal_u_rep(m, n)
-    top = len(digits) - 1
-    return sum(d * useq.b_of_power(top - i) for i, d in enumerate(digits))
+    return b_weight(m, normal_u_rep(m, n))

@@ -117,38 +117,6 @@ def make_morphism(p: int, q: int, family: Family | str) -> Morphism:
     return Morphism(p, q, Family(family))
 
 
-# --- incidence-matrix algebra ------------------------------------------------
-
-Matrix = tuple[tuple[int, int], tuple[int, int]]
-
-MATRIX_IDENTITY: Matrix = ((1, 0), (0, 1))
-
-
-def incidence_matrix(m: Morphism) -> Matrix:
-    """2x2 matrix whose rows are the Parikh vectors of image_a and image_b."""
-    return ((m.p, 1), (m.q, 1 if m.family is Family.NONSIMPLE else 0))
-
-
-def mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def mat_pow(mtx: Matrix, exponent: int) -> Matrix:
-    if exponent < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exponent}")
-    out = MATRIX_IDENTITY
-    base = mtx
-    k = exponent
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 # --- Parikh accounting -------------------------------------------------------
 
 def _check_word(word: str) -> None:
@@ -185,12 +153,6 @@ def apply(m: Morphism, word: str) -> str:
 
 
 # --- demand-driven word generation -------------------------------------------
-
-def _row_step(m: Morphism, row: tuple[int, int]) -> tuple[int, int]:
-    # one right-multiplication by the incidence matrix
-    a, b = row
-    return (a * m.p + b * m.q, (a + b) if m.family is Family.NONSIMPLE else a)
-
 
 class _SelfReadingStream:
     """Stream for an infinite word T satisfying T = head + image(T).
@@ -250,14 +212,14 @@ class _StageProductStream:
         self._copies_left = m.q - 1
         self._row = (1, 0)
         for _ in range(first_power):
-            self._row = _row_step(m, self._row)
+            self._row = parikh_image(m, self._row)
         self._lock = threading.Lock()
 
     def _advance_block(self) -> None:
         self._copies_left -= 1
         if self._copies_left == 0:
             self._copies_left = self._m.q - 1
-            self._row = _row_step(self._m, _row_step(self._m, self._row))
+            self._row = parikh_image(self._m, parikh_image(self._m, self._row))
 
     def prefix(self, n: int) -> str:
         if n <= len(self._text):

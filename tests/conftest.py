@@ -12,6 +12,53 @@ import pytest
 from parryac import Family, Morphism, make_morphism
 
 
+# --- incidence-matrix algebra --------------------------------------------------
+
+Matrix = tuple[tuple[int, int], tuple[int, int]]
+
+MATRIX_IDENTITY: Matrix = ((1, 0), (0, 1))
+
+
+def incidence_matrix(m: Morphism) -> Matrix:
+    """2x2 matrix whose rows are the Parikh vectors of image_a and image_b."""
+    return ((m.p, 1), (m.q, 1 if m.family is Family.NONSIMPLE else 0))
+
+
+def mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def mat_pow(mtx: Matrix, exponent: int) -> Matrix:
+    if exponent < 0:
+        raise ValueError(f"exponent must be nonnegative, got {exponent}")
+    out = MATRIX_IDENTITY
+    base = mtx
+    k = exponent
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    return out
+
+
+def ref_matrix_powers(m: Morphism, count: int) -> list[Matrix]:
+    """M^0, ..., M^(count-1) by repeated multiplication."""
+    powers = [MATRIX_IDENTITY]
+    while len(powers) < count:
+        powers.append(mat_mul(powers[-1], incidence_matrix(m)))
+    return powers
+
+
+def ref_stride_sum(values: list[int], top: int, step: int) -> int:
+    """values[j] summed over 0 <= j <= top with j = top (mod step), one by one."""
+    return sum(values[j] for j in range(top % step, top + 1, step)) if top >= 0 else 0
+
+
+# --- words ----------------------------------------------------------------------
+
 def ref_images(m: Morphism) -> dict[str, str]:
     return {
         "A": "A" * m.p + "B",

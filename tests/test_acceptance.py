@@ -17,10 +17,7 @@ from parryac import (
     choose_k_nonsimple,
     choose_mn_simple,
     fixed_point_prefix,
-    incidence_matrix,
     make_morphism,
-    mat_mul,
-    mat_pow,
     max_ac,
     normal_u_rep,
     oracle_ac,
@@ -33,13 +30,15 @@ from parryac import (
     w_stage_length_nonsimple,
     wv_prefix_simple,
 )
-from parryac.words import MATRIX_IDENTITY
-
 from conftest import (
+    MATRIX_IDENTITY,
     NONSIMPLE_GRID,
     SIMPLE_GRID,
     STURMIAN_NONSIMPLE,
     STURMIAN_SIMPLE,
+    incidence_matrix,
+    mat_mul,
+    mat_pow,
 )
 
 GRID = SIMPLE_GRID + NONSIMPLE_GRID          # criterion 3 closed-form grid

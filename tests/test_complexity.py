@@ -14,20 +14,19 @@ from parryac import (
     ac_via_prefix_counts,
     balance_bound,
     choose_k_nonsimple,
-    incidence_matrix,
     make_morphism,
-    mat_mul,
-    mat_pow,
     max_ac,
     oracle_ac,
 )
-from parryac.words import MATRIX_IDENTITY
-
 from conftest import (
+    MATRIX_IDENTITY,
     NONSIMPLE_GRID,
     SIMPLE_GRID,
     STURMIAN_NONSIMPLE,
     STURMIAN_SIMPLE,
+    incidence_matrix,
+    mat_mul,
+    mat_pow,
 )
 
 SIMPLE_EXTREMAL = [m for m in SIMPLE_GRID if m.q > 1]

@@ -30,7 +30,9 @@ from conftest import (
     ref_w_stage_nonsimple,
     ref_wv_simple,
     ref_wv_stage_simple,
+    ref_matrix_powers,
     ref_power_of_a,
+    ref_stride_sum,
 )
 
 SIMPLE_EXTREMAL = [m for m in SIMPLE_GRID if m.q > 1]
@@ -270,3 +272,33 @@ def test_extremal_prefixes_realize_oracle_interval(m):
             w_count = w_b_count_simple(m, n, n_stage)
         assert interval.min_b == v_count
         assert interval.max_b == w_count
+
+
+# --- O(1) stage sums against plain summation, stages 0..300 -----------------------
+
+LAST_STAGE = 300
+
+
+@pytest.mark.parametrize("m", NONSIMPLE_GRID)
+def test_w_stage_length_nonsimple_equals_plain_sum(m):
+    # |w^(k)| = sum_{j<=k} |phi^j(B)|, and |phi^j(B)| sums row B of M^j
+    phi_b = [sum(power[1]) for power in ref_matrix_powers(m, LAST_STAGE + 1)]
+    for stage in range(LAST_STAGE + 1):
+        assert w_stage_length_nonsimple(m, stage) == ref_stride_sum(phi_b, stage, 1)
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL)
+def test_simple_stage_sums_equal_plain_sums(m):
+    powers = ref_matrix_powers(m, 2 * LAST_STAGE + 1)
+    u = [sum(power[0]) for power in powers]
+    b = [power[0][1] for power in powers]
+    # at n = |v^(k)| or |w^(k)| the digit part of a B-count is zero, leaving its fixed part
+    for stage in range(-1, LAST_STAGE + 1):
+        low = wv_stage_length_simple(m, "v", stage)
+        assert low == 1 + (m.q - 1) * ref_stride_sum(u, 2 * stage, 2)
+        assert v_b_count_simple(m, low, stage) == (m.q - 1) * ref_stride_sum(b, 2 * stage, 2)
+    for stage in range(LAST_STAGE + 1):
+        low = wv_stage_length_simple(m, "w", stage)
+        assert low == 1 + (m.q - 1) * ref_stride_sum(u, 2 * stage - 1, 2)
+        fixed = (m.q - 1) * ref_stride_sum(b, 2 * stage - 1, 2)
+        assert w_b_count_simple(m, low, stage) == 1 + fixed

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,16 @@ from hypothesis import strategies as st
 from parryac import (
     Family,
     fixed_point_prefix,
+    make_morphism,
     normal_u_rep,
     prefix_b_count,
     prefix_decomposition,
     u_rep_value,
     u_value,
-    usequence,
 )
 from parryac.words import apply
 
-from conftest import FULL_GRID, STURMIAN_SIMPLE, ref_fixed_point
+from conftest import FULL_GRID, STURMIAN_SIMPLE, ref_fixed_point, ref_matrix_powers
 
 ALL_MORPHISMS = FULL_GRID + STURMIAN_SIMPLE
 ANY_MORPHISM = st.sampled_from(ALL_MORPHISMS)
@@ -185,9 +187,40 @@ def test_reference_cross_check(nonsimple31):
 
 
 def test_usequence_index_for(nonsimple31):
-    useq = usequence(nonsimple31)
-    assert useq.index_for(0) == 0
-    assert useq.index_for(3) == 0
-    assert useq.index_for(4) == 1
-    assert useq.index_for(163) == 3
-    assert useq.index_for(164) == 4
+    # the top place N of n's greedy digits is the smallest N with n < U_{N+1}
+    def top(n):
+        return len(normal_u_rep(nonsimple31, n)) - 1
+    assert top(0) == 0
+    assert top(3) == 0
+    assert top(4) == 1
+    assert top(163) == 3
+    assert top(164) == 4
+
+
+def test_concurrent_growth_keeps_the_row_table_exact():
+    # threads grow one cold table at once; a lost or doubled row step would
+    # shift every later entry
+    m = make_morphism(7, 3, "nonsimple")
+    u = [sum(power[0]) for power in ref_matrix_powers(m, 400)]
+    failures = []
+
+    def worker(seed):
+        try:
+            for k in range(seed, 400, 3):
+                assert u_value(m, k) == u[k]
+                assert u_rep_value(m, normal_u_rep(m, u[k] - seed)) == u[k] - seed
+        except Exception as exc:   # surface to the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(1, 9)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures

@@ -15,16 +15,22 @@ from parryac import (
     WordStream,
     apply,
     fixed_point_prefix,
-    incidence_matrix,
     make_morphism,
-    mat_mul,
-    mat_pow,
     parikh,
     parikh_image,
 )
-from parryac.words import CapExceededError, MATRIX_IDENTITY
+from parryac.words import CapExceededError
 
-from conftest import FULL_GRID, STURMIAN_SIMPLE, ref_apply, ref_fixed_point
+from conftest import (
+    FULL_GRID,
+    MATRIX_IDENTITY,
+    STURMIAN_SIMPLE,
+    incidence_matrix,
+    mat_mul,
+    mat_pow,
+    ref_apply,
+    ref_fixed_point,
+)
 
 ANY_MORPHISM = st.sampled_from(FULL_GRID + STURMIAN_SIMPLE)
 WORDS = st.text(alphabet="AB", max_size=400)
