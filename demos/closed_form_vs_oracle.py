@@ -2,7 +2,7 @@
 
 Sweeps a few morphisms from each family over a range of lengths and prints
 the complexity profile with all three routes side by side.  The oracle
-enumerates sliding windows over a generated prefix and knows nothing about
+enumerates sliding windows over generated words and knows nothing about
 the formulas, so agreement here is a genuine cross-check.
 """
 

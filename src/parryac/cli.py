@@ -9,8 +9,9 @@ One executable with subcommands:
     word    emit a prefix of the fixed point, v, or w
     maxac   maximum complexity and optimal balance bound
 
-Exit codes: 0 success, 1 verification mismatch, 2 oracle instability,
-64 usage error, 65 unsupported construction.  Output is deterministic;
+Exit codes: 0 success, 1 verification mismatch, 2 the oracle's certified
+scan needs more letters than the generation cap, 64 usage error,
+65 unsupported construction.  Output is deterministic;
 --format selects plain, csv, or json where applicable.
 """
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="brute-force window interval for one n")
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--prefix-len", type=int, default=None,
-                          help="scan exactly this prefix instead of stabilizing")
+                          help="scan exactly this prefix instead of the certified words")
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -161,21 +162,12 @@ def _cmd_verify(m: Morphism, args) -> int:
         raise ValueError(f"n_max={n_max} exceeds the oracle cap {ORACLE_N_CAP}")
     sturmian_simple = m.family is Family.SIMPLE and m.q == 1
     mismatches = []
-    unstable = []
     for n in range(1, n_max + 1):
         closed = ac(m, n).value
         diff = None if sturmian_simple else ac_via_prefix_counts(m, n)
-        try:
-            brute = oracle_ac(m, n).ac
-        except OracleInstabilityError:
-            unstable.append(n)
-            continue
+        brute = oracle_ac(m, n).ac
         if closed != brute or (diff is not None and diff != closed):
             mismatches.append((n, closed, diff, brute))
-    if unstable:
-        print(f"UNSTABLE {len(unstable)} of {n_max}: oracle did not stabilize for "
-              + ", ".join(map(str, unstable[:20])))
-        return EX_UNSTABLE
     if mismatches:
         for n, closed, diff, brute in mismatches:
             shown = "n/a" if diff is None else diff

@@ -1,58 +1,70 @@
 """Brute-force Abelian complexity by sliding-window enumeration.
 
-Everything here is computed from generated prefixes of the fixed point
-alone, never from the closed-form modules, so it can serve as an
-independent oracle for them.  A length-n window scan over a prefix uses a
-cumulative B-count array and costs O(prefix_len) regardless of n.
+Everything here is computed from generated words alone, never from the
+closed-form modules, so it can serve as an independent oracle for them.
+A length-n window scan over a word uses a cumulative B-count array and
+costs O(len(word)) regardless of n.
 
-No a priori bound is available on how long a prefix must be to contain
-every factor of length n, so oracle_ac doubles the prefix until the
-observed (min B, max B) interval stops changing across two consecutive
-doublings and flags the result as stabilized.  The interval is monotone
-in the prefix length, which makes the policy sound in the only direction
-that matters: it can never overshoot the true interval.
+oracle_ac scans words that provably hold every factor of length n.  The
+fixed point u satisfies u = phi^k(u), so it is a concatenation of blocks
+phi^k(A) and phi^k(B), and none is shorter than phi^k(B) (phi(B) is a
+factor of phi(A) in both families).  Take the least k with
+n - 1 <= |phi^k(B)|.  Then every length-n factor starts in one block and
+ends in the same block or the next, so it is a window of phi^k(xy) for a
+two-letter factor xy of u, and every such window is a factor of u.  The
+two-letter factors are AA, AB and BA; BB never occurs, because every
+letter image starts with A and holds at most one B, at its end.  So the
+windows of phi^k(AA), phi^k(AB) and phi^k(BA) are exactly the length-n
+factors.  This is the standard block argument for primitive
+substitutions: see Queffelec, Substitution Dynamical Systems - Spectral
+Analysis, LNM 1294, and Durand, "Linearly recurrent subshifts have a
+finite number of non-periodic subshift factors", Ergodic Theory Dynam.
+Systems 20 (2000).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .words import (
     GENERATION_CAP,
+    A,
     B,
-    Family,
     Morphism,
     ParikhVector,
+    apply,
     fixed_point_prefix,
+    parikh_image,
 )
 
-#: Largest factor length oracle_ac accepts by default.
+#: Largest factor length oracle_ac accepts.
 ORACLE_N_CAP = 10 ** 5
 
 _B_CODE = ord(B)
 
 
 class OracleInstabilityError(RuntimeError):
-    """The window interval kept changing up to the prefix cap.
+    """The certified scan for n needs more letters than GENERATION_CAP allows.
 
-    Carries the last observed interval in the `interval` attribute.
+    Raised by oracle_ac before any word is generated.
     """
-
-    def __init__(self, message: str, interval: "ParikhInterval"):
-        super().__init__(message)
-        self.interval = interval
 
 
 @dataclass(frozen=True)
 class ParikhInterval:
-    """Extreme B-counts over all length-n windows of a scanned prefix.
+    """Extreme B-counts over all length-n windows of the scanned words.
 
     Every B-count between min_b and max_b is realized by some window
     (consecutive windows change their count by at most one), so the
     corresponding complexity value is simply 1 + max_b - min_b.
+
+    prefix_len_used is the number of letters scanned: the prefix length
+    for parikh_extrema, |phi^k(AA)| + |phi^k(AB)| + |phi^k(BA)| for
+    oracle_ac.  stabilized is True only from oracle_ac, whose scanned words
+    are certified to hold every length-n factor.
     """
 
     n: int
@@ -70,112 +82,72 @@ class ParikhInterval:
         return 1 + self.max_b - self.min_b
 
 
-_cum_cache: dict[Morphism, np.ndarray] = {}
-_cum_lock = threading.Lock()
+def _cumulative_b(text: str) -> np.ndarray:
+    """Array c with c[i] = number of B's among the first i letters of text."""
+    flags = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE
+    return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
 
 
-def _cumulative_b(m: Morphism, length: int) -> np.ndarray:
-    """Array c with c[i] = number of B's among the first i letters.
-
-    Cached per morphism and only ever grown; a scan over a shorter prefix
-    slices the shared array.
-    """
-    cached = _cum_cache.get(m)
-    if cached is None or len(cached) < length + 1:
-        with _cum_lock:
-            cached = _cum_cache.get(m)
-            if cached is None or len(cached) < length + 1:
-                text = fixed_point_prefix(m, length)
-                flags = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE
-                cached = np.concatenate(
-                    ([0], np.cumsum(flags, dtype=np.int64)))
-                _cum_cache[m] = cached
-    return cached
+def _window_counts(cum: np.ndarray, n: int) -> np.ndarray:
+    return cum[n:] - cum[:-n]
 
 
-def _window_counts(m: Morphism, n: int, prefix_len: int) -> np.ndarray:
-    cum = _cumulative_b(m, prefix_len)
-    return cum[n:prefix_len + 1] - cum[:prefix_len + 1 - n]
-
-
-def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
-    """Min and max B-count over all length-n windows of the given prefix."""
+def _prefix_window_counts(m: Morphism, n: int, prefix_len: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if prefix_len < n:
         raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
-    win = _window_counts(m, n, prefix_len)
+    return _window_counts(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
+
+
+def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
+    """Min and max B-count over all length-n windows of the given prefix."""
+    win = _prefix_window_counts(m, n, prefix_len)
     return ParikhInterval(n, int(win.min()), int(win.max()), prefix_len)
 
 
 def parikh_set(m: Morphism, n: int, prefix_len: int) -> set[ParikhVector]:
     """The distinct Parikh vectors of all length-n windows of the prefix."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if prefix_len < n:
-        raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
-    win = _window_counts(m, n, prefix_len)
+    win = _prefix_window_counts(m, n, prefix_len)
     return {ParikhVector(n - int(b), int(b)) for b in np.unique(win)}
 
 
-def _initial_prefix_len(m: Morphism, n: int) -> int:
-    """Starting prefix length for the stabilization loop.
+@lru_cache(maxsize=1)
+def _block_pair_counts(m: Morphism, k: int) -> tuple[np.ndarray, ...]:
+    """Cumulative B-counts of phi^k(AA), phi^k(AB) and phi^k(BA).
 
-    At least 4n and at least U_{J+2} where U_J <= n < U_{J+1}; for the
-    non-simple family also at least the stage length |w^(J+2)| that is
-    guaranteed to dominate length-n prefixes of the B-richest word.  The
-    U values and stage lengths are recomputed locally from the morphism
-    parameters to keep this module independent of the closed-form code;
-    they only size the scan and never influence a reported value.
-    Rounded up to a power of two so that doubling steps share the cached
-    cumulative-count buffers.
+    One entry is enough: verify walks n upwards, so k never decreases and
+    each level is built once.
     """
-    nonsimple = m.family is Family.NONSIMPLE
-    u_values = [1]
-    a, b = 1, 0
-    while u_values[-1] <= n:
-        a, b = a * m.p + b * m.q, (a + b) if nonsimple else a
-        u_values.append(a + b)
-    # u_values now ends at U_{J+1}; extend to U_{J+2}
-    a, b = a * m.p + b * m.q, (a + b) if nonsimple else a
-    u_values.append(a + b)
-    bound = max(4 * n, u_values[-1])
-    if nonsimple:
-        stage_len = 1
-        phi_b_len = 1
-        for j in range(1, len(u_values)):
-            phi_b_len += m.q * u_values[j - 1]
-            stage_len += phi_b_len
-        bound = max(bound, stage_len)
-    return 1 << (bound - 1).bit_length()
+    image_a, image_b = A, B
+    for _ in range(k):
+        image_a, image_b = apply(m, image_a), apply(m, image_b)
+    return tuple(_cumulative_b(x + y) for x, y in
+                 ((image_a, image_a), (image_a, image_b), (image_b, image_a)))
 
 
-def oracle_ac(m: Morphism, n: int, *,
-              n_cap: int = ORACLE_N_CAP,
-              max_prefix_len: int | None = None) -> ParikhInterval:
-    """Stabilized window interval for length n; its `ac` is 1 + max - min.
+def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
+    """Certified window interval for length n; its `ac` is 1 + max - min.
 
-    Doubles the scanned prefix until the interval is identical across two
-    consecutive doublings, then reports it with stabilized=True.  Raises
-    OracleInstabilityError (carrying the last interval) if the prefix cap
-    is hit first.
+    Scans phi^k(AA), phi^k(AB) and phi^k(BA) for the least k with
+    |phi^k(B)| >= n - 1; their windows are exactly the length-n factors of
+    the fixed point (see the module docstring).  Reports stabilized=True.
+    Raises OracleInstabilityError, before generating anything, when
+    phi^k(AA) is longer than GENERATION_CAP.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > n_cap:
-        raise ValueError(f"n={n} exceeds the oracle cap {n_cap}")
-    cap = GENERATION_CAP if max_prefix_len is None else max_prefix_len
-    if cap < n:
-        raise ValueError(f"max_prefix_len={cap} is below n={n}")
-    length = min(_initial_prefix_len(m, n), cap)
-    last = parikh_extrema(m, n, length)
-    unchanged = 0
-    while unchanged < 2:
-        if length >= cap:
-            raise OracleInstabilityError(
-                f"interval for n={n} still changing at prefix length {length}", last)
-        length = min(2 * length, cap)
-        current = parikh_extrema(m, n, length)
-        unchanged = unchanged + 1 if (current.min_b, current.max_b) == (last.min_b, last.max_b) else 0
-        last = current
-    return ParikhInterval(n, last.min_b, last.max_b, last.prefix_len_used, True)
+    if n > ORACLE_N_CAP:
+        raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
+    k, row_a, row_b = 0, (1, 0), (0, 1)
+    while sum(row_b) < n - 1:
+        k, row_a, row_b = k + 1, parikh_image(m, row_a), parikh_image(m, row_b)
+    if 2 * sum(row_a) > GENERATION_CAP:
+        raise OracleInstabilityError(
+            f"the certified scan for n={n} needs phi^{k}(AA) of {2 * sum(row_a)} letters, "
+            f"over the generation cap of {GENERATION_CAP}")
+    cums = _block_pair_counts(m, k)
+    windows = [_window_counts(cum, n) for cum in cums]
+    return ParikhInterval(n, min(int(w.min()) for w in windows),
+                          max(int(w.max()) for w in windows),
+                          sum(len(cum) - 1 for cum in cums), True)

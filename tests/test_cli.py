@@ -170,17 +170,13 @@ def test_oracle_csv(capsys):
     assert row.startswith("7,1,2,2,")
 
 
-def test_oracle_instability_maps_to_exit_2(capsys, monkeypatch):
-    import parryac.cli as cli_module
-    from parryac.oracle import OracleInstabilityError, ParikhInterval
-
-    def unstable(m, n):
-        raise OracleInstabilityError("still changing", ParikhInterval(n, 0, 1, 16))
-
-    monkeypatch.setattr(cli_module, "oracle_ac", unstable)
-    code, _, err = run(capsys, ["oracle", *NS31, "--n", "7"])
+def test_oracle_instability_maps_to_exit_2(capsys):
+    # the certified scan would need about 5.4e10 letters: refused at once
+    code, out, err = run(capsys, ["oracle", "--family", "nonsimple", "--p", "3000",
+                                  "--q", "1", "--n", "100000"])
     assert code == EX_UNSTABLE
-    assert "still changing" in err
+    assert out == ""
+    assert err.startswith("error: ") and "generation cap" in err
 
 
 # --- verify -----------------------------------------------------------------------

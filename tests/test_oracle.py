@@ -1,4 +1,4 @@
-"""Sliding-window oracle: scans, intervals, stabilization."""
+"""Sliding-window oracle: scans, intervals, the certified scan."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 from parryac import (
     OracleInstabilityError,
     ParikhVector,
+    ac,
     fixed_point_prefix,
     make_morphism,
     oracle_ac,
@@ -106,12 +107,43 @@ def test_oracle_ac_rejects_out_of_cap(nonsimple31):
         oracle_ac(nonsimple31, 10 ** 5 + 1)
 
 
-def test_oracle_ac_instability_error_carries_interval(nonsimple31):
-    # an artificially tiny prefix cap cannot stabilize
-    with pytest.raises(OracleInstabilityError) as info:
-        oracle_ac(nonsimple31, 7, max_prefix_len=16)
-    assert info.value.interval.n == 7
-    assert not info.value.interval.stabilized
+def test_oracle_ac_refuses_scan_over_generation_cap():
+    # k = 3 and 2 U_3 is about 5.4e10 letters, far past the cap: refused
+    # before anything is generated
+    with pytest.raises(OracleInstabilityError, match="generation cap"):
+        oracle_ac(make_morphism(3000, 1, "nonsimple"), 10 ** 5)
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_oracle_ac_equals_closed_form_up_to_p12(p):
+    morphisms = ([make_morphism(p, q, "simple") for q in range(1, p + 1)]
+                 + [make_morphism(p, q, "nonsimple") for q in range(1, p)])
+    for m in morphisms:
+        for n in range(1, 301):
+            got = oracle_ac(m, n)
+            assert got.stabilized
+            assert got.ac == ac(m, n).value, (m, n)
+
+
+@pytest.mark.parametrize("p, q, family, n", [
+    (100, 100, "simple", 1000),
+    (60, 40, "simple", 1000),
+    (300, 299, "nonsimple", 1000),
+    (1000, 1, "nonsimple", 7),
+])
+def test_oracle_ac_equals_closed_form_at_large_p(p, q, family, n):
+    m = make_morphism(p, q, family)
+    assert oracle_ac(m, n).ac == ac(m, n).value
+
+
+@pytest.mark.parametrize("m", FULL_GRID + STURMIAN_SIMPLE)
+def test_oracle_ac_covers_reference_prefix_windows(m):
+    # every window of a long naive prefix lies in the certified interval
+    text = ref_fixed_point(m, 20000)
+    for n in (1, 2, 3, 7, 50):
+        low, high = ref_window_interval(text, n)
+        got = oracle_ac(m, n)
+        assert got.min_b <= low and high <= got.max_b
 
 
 @pytest.mark.parametrize("m", STURMIAN_SIMPLE)
