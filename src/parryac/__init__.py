@@ -55,7 +55,6 @@ from .words import (
     Morphism,
     ParikhVector,
     UnsupportedConstructionError,
-    WordStream,
     apply,
     fixed_point_prefix,
     make_morphism,
@@ -70,7 +69,7 @@ __all__ = [
     "ACResult", "CapExceededError", "Family", "Morphism",
     "METHOD_CLOSED_FORM", "METHOD_PREFIX_DIFFERENCE", "METHOD_STURMIAN",
     "ORACLE_N_CAP", "OracleInstabilityError", "ParikhInterval",
-    "ParikhVector", "UnsupportedConstructionError", "WordStream",
+    "ParikhVector", "UnsupportedConstructionError",
     "ac", "ac_nonsimple", "ac_simple", "ac_via_prefix_counts", "apply",
     "balance_bound", "choose_k_nonsimple", "choose_mn_simple",
     "fixed_point_prefix", "make_morphism", "max_ac", "normal_u_rep", "oracle_ac",

@@ -22,7 +22,6 @@ import json
 import sys
 
 from .complexity import ac, ac_via_prefix_counts, balance_bound, max_ac
-from .extremal import w_prefix_nonsimple, wv_prefix_simple
 from .numeration import normal_u_rep
 from .oracle import ORACLE_N_CAP, OracleInstabilityError, oracle_ac, parikh_extrema
 from .words import (
@@ -33,7 +32,7 @@ from .words import (
     UBETA,
     V,
     W,
-    fixed_point_prefix,
+    word_prefix,
 )
 
 EX_OK = 0
@@ -190,16 +189,7 @@ def _cmd_urep(m: Morphism, args) -> int:
 
 
 def _cmd_word(m: Morphism, args) -> int:
-    if args.length < 0:
-        raise ValueError(f"len must be nonnegative, got {args.length}")
-    if args.which == UBETA:
-        text = fixed_point_prefix(m, args.length)
-    elif m.family is Family.NONSIMPLE:
-        text = (w_prefix_nonsimple(m, args.length) if args.which == W
-                else fixed_point_prefix(m, args.length))
-    else:
-        text = wv_prefix_simple(m, args.which, args.length)
-    print(text)
+    print(word_prefix(m, args.which, args.length))
     return EX_OK
 
 

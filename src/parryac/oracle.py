@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .words import (
     GENERATION_CAP,
@@ -39,6 +38,9 @@ from .words import (
     fixed_point_prefix,
     parikh_image,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest factor length oracle_ac accepts.
 ORACLE_N_CAP = 10 ** 5
@@ -84,6 +86,8 @@ class ParikhInterval:
 
 def _cumulative_b(text: str) -> np.ndarray:
     """Array c with c[i] = number of B's among the first i letters of text."""
+    import numpy as np  # deferred: only the oracle needs numpy
+
     flags = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE
     return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
 
@@ -109,7 +113,7 @@ def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
 def parikh_set(m: Morphism, n: int, prefix_len: int) -> set[ParikhVector]:
     """The distinct Parikh vectors of all length-n windows of the prefix."""
     win = _prefix_window_counts(m, n, prefix_len)
-    return {ParikhVector(n - int(b), int(b)) for b in np.unique(win)}
+    return {ParikhVector(n - b, b) for b in set(win.tolist())}
 
 
 @lru_cache(maxsize=1)

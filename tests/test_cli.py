@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parryac
+from parryac import words
 from parryac.cli import (
     EX_MISMATCH,
     EX_OK,
@@ -135,6 +141,22 @@ def test_word_v_nonsimple_is_fixed_point(capsys):
     assert out == "AAABAAA\n"
 
 
+def test_word_rejects_negative_length(capsys):
+    code, out, err = run(capsys, ["word", *NS31, "--which", "ubeta", "--len", "-1"])
+    assert code == EX_USAGE and out == ""
+    assert err.startswith("error: ") and "nonnegative" in err
+
+
+def test_word_over_generation_cap_is_refused_before_generating(capsys, monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("a word was generated")
+
+    monkeypatch.setattr(words, "_image", no_generation)
+    code, out, err = run(capsys, ["word", *NS31, "--which", "w", "--len", "268435457"])
+    assert code == EX_USAGE and out == ""
+    assert err.startswith("error: ") and "generation cap" in err
+
+
 # --- maxac ---------------------------------------------------------------------
 
 def test_maxac_plain(capsys):
@@ -201,6 +223,24 @@ def test_verify_sturmian_simple_ok(capsys):
 def test_verify_rejects_empty_range(capsys):
     code, _, err = run(capsys, ["verify", *NS31, "--n-max", "0"])
     assert code == EX_USAGE
+
+
+# --- imports ---------------------------------------------------------------------
+
+def test_ac_runs_without_numpy():
+    # only the oracle needs numpy, and it imports it on first use
+    script = (
+        "import sys\n"
+        "import parryac.cli\n"
+        "code = parryac.cli.main(['ac', '--family', 'nonsimple', '--p', '3', '--q', '1', '--n', '7'])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n")
+    package_root = str(Path(parryac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert result.returncode == EX_OK, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 # --- usage and validation -------------------------------------------------------------

@@ -11,6 +11,7 @@ from parryac import (
     choose_k_nonsimple,
     choose_mn_simple,
     fixed_point_prefix,
+    make_morphism,
     oracle_ac,
     prefix_b_count,
     u_value,
@@ -36,6 +37,10 @@ from conftest import (
 )
 
 SIMPLE_EXTREMAL = [m for m in SIMPLE_GRID if m.q > 1]
+SIMPLE_LARGE_P = [make_morphism(60, 40, "simple"), make_morphism(100, 100, "simple")]
+NONSIMPLE_LARGE_P = [make_morphism(300, 299, "nonsimple"), make_morphism(1000, 1, "nonsimple")]
+# every short length, to catch an off-by-one in how much of a word is mapped
+PREFIX_LENGTHS = [*range(301), 4000]
 
 
 # --- non-simple constructions ---------------------------------------------------
@@ -47,9 +52,11 @@ def test_w_prefix_nonsimple_examples(nonsimple31):
         assert w_prefix_nonsimple(m, 1) == "B"
 
 
-@pytest.mark.parametrize("m", NONSIMPLE_GRID)
+@pytest.mark.parametrize("m", NONSIMPLE_GRID + NONSIMPLE_LARGE_P)
 def test_w_prefix_nonsimple_matches_reference(m):
-    assert w_prefix_nonsimple(m, 4000) == ref_w_nonsimple(m, 4000)
+    reference = ref_w_nonsimple(m, 4000)
+    for length in PREFIX_LENGTHS:
+        assert w_prefix_nonsimple(m, length) == reference[:length]
 
 
 def test_w_prefix_family_mismatch(simple32):
@@ -131,19 +138,20 @@ def test_wv_prefix_simple_examples(simple32):
     assert wv_prefix_simple(simple32, "v", 2) == "AA"
 
 
-@pytest.mark.parametrize("m", SIMPLE_EXTREMAL)
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL + SIMPLE_LARGE_P)
 @pytest.mark.parametrize("which", ["v", "w"])
 def test_wv_prefix_simple_matches_reference(m, which):
-    assert wv_prefix_simple(m, which, 4000) == ref_wv_simple(m, which, 4000)
+    reference = ref_wv_simple(m, which, 4000)
+    for length in PREFIX_LENGTHS:
+        assert wv_prefix_simple(m, which, length) == reference[:length]
 
 
 def test_wv_prefix_simple_rejects_sturmian_case():
-    from parryac import WordStream, make_morphism
     m = make_morphism(4, 1, "simple")
     with pytest.raises(UnsupportedConstructionError):
         wv_prefix_simple(m, "v", 5)
     with pytest.raises(UnsupportedConstructionError):
-        WordStream(m, "w")
+        wv_prefix_simple(m, "w", 5)
 
 
 def test_wv_prefix_simple_family_mismatch(nonsimple31):

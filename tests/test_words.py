@@ -1,4 +1,4 @@
-"""core word machinery: morphisms, Parikh accounting, fixed-point streaming."""
+"""core word machinery: morphisms, Parikh accounting, fixed-point prefixes."""
 
 from __future__ import annotations
 
@@ -12,14 +12,13 @@ from parryac import (
     Family,
     Morphism,
     ParikhVector,
-    WordStream,
     apply,
     fixed_point_prefix,
     make_morphism,
     parikh,
     parikh_image,
 )
-from parryac.words import CapExceededError
+from parryac.words import CapExceededError, word_prefix
 
 from conftest import (
     FULL_GRID,
@@ -180,29 +179,12 @@ def test_fixed_point_rejects_negative_length(nonsimple31):
         fixed_point_prefix(nonsimple31, -1)
 
 
-# --- WordStream -------------------------------------------------------------------
-
-def test_word_stream_take_is_prefix_stable(nonsimple31):
-    stream = WordStream(nonsimple31)
-    a, b = stream.take(10), stream.take(25)
-    assert a + b == fixed_point_prefix(nonsimple31, 35)
-    assert stream.position == 35
-
-
-def test_word_stream_w_target(nonsimple31):
-    stream = WordStream(nonsimple31, "w")
-    assert stream.take(3) == "BAB"
-    assert stream.take(6) == "AAABAB"
-
-
-def test_word_stream_v_is_fixed_point_for_nonsimple(nonsimple31):
-    assert WordStream(nonsimple31, "v").take(20) == fixed_point_prefix(nonsimple31, 20)
-
-
-def test_word_stream_rejects_unknown_target(nonsimple31):
+def test_word_prefix_rejects_unknown_target(nonsimple31):
     with pytest.raises(ValueError, match="target"):
-        WordStream(nonsimple31, "u")
+        word_prefix(nonsimple31, "u", 5)
 
+
+# --- concurrency -----------------------------------------------------------------
 
 def test_concurrent_readers_share_caches():
     import threading
