@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
-from .complexity import ac, ac_via_prefix_counts, balance_bound, max_ac
+from .complexity import ac_range, ac_via_prefix_counts, balance_bound, max_ac
 from .numeration import normal_u_rep
 from .oracle import ORACLE_N_CAP, OracleInstabilityError, oracle_ac, parikh_extrema
 from .words import (
@@ -40,6 +41,9 @@ EX_MISMATCH = 1
 EX_UNSTABLE = 2
 EX_USAGE = 64
 EX_UNSUPPORTED = 65
+
+#: Rows joined into one write while `ac` streams a range.
+_CHUNK_ROWS = 4096
 
 
 class _UsageError(Exception):
@@ -115,20 +119,26 @@ def _cmd_ac(m: Morphism, args) -> int:
     n_end = args.n_end if args.n_end is not None else n_start
     if n_start < 1 or n_end < n_start:
         raise ValueError(f"need 1 <= n <= n_end, got n={n_start}, n_end={n_end}")
-    results = [ac(m, n) for n in range(n_start, n_end + 1)]
+    results = ac_range(m, n_start, n_end)
     if args.format == "csv":
-        print("n,ac,method")
-        for r in results:
-            print(f"{r.n},{r.value},{r.method}")
+        head, sep, tail = "n,ac,method\n", "\n", "\n"
+        rows = (f"{n},{value},{method}" for n, value, method in results)
     elif args.format == "json":
-        print(json.dumps({
-            "p": m.p, "q": m.q, "family": m.family.value,
-            "results": [{"n": str(r.n), "ac": r.value, "method": r.method}
-                        for r in results],
-        }))
+        # the bytes json.dumps gives for the whole payload: rows go between head and tail
+        envelope = json.dumps({"p": m.p, "q": m.q, "family": m.family.value, "results": []})
+        head, sep, tail = envelope[:-2], ", ", envelope[-2:] + "\n"
+        rows = (f'{{"n": "{n}", "ac": {value}, "method": "{method}"}}'
+                for n, value, method in results)
     else:
-        for r in results:
-            print(f"{r.n} {r.value} {r.method}")
+        head, sep, tail = "", "\n", "\n"
+        rows = (f"{n} {value} {method}" for n, value, method in results)
+    write = sys.stdout.write
+    write(head)
+    lead = ""
+    while chunk := sep.join(islice(rows, _CHUNK_ROWS)):
+        write(lead + chunk)
+        lead = sep
+    write(tail)
     return EX_OK
 
 
@@ -161,8 +171,7 @@ def _cmd_verify(m: Morphism, args) -> int:
         raise ValueError(f"n_max={n_max} exceeds the oracle cap {ORACLE_N_CAP}")
     sturmian_simple = m.family is Family.SIMPLE and m.q == 1
     mismatches = []
-    for n in range(1, n_max + 1):
-        closed = ac(m, n).value
+    for n, closed, _ in ac_range(m, 1, n_max):
         diff = None if sturmian_simple else ac_via_prefix_counts(m, n)
         brute = oracle_ac(m, n).ac
         if closed != brute or (diff is not None and diff != closed):

@@ -15,22 +15,29 @@ below are partial sums of sequences with x_{k+2} = t x_{k+1} - d x_k
 (t, d the trace and determinant of M), so each costs O(1): the closed
 form in `numeration` divides exactly by det(I - M), which is -q or
 1 - p - q, or by det(I - M^2) for a sum over every other index.
+
+Everything in the formulas but the digits depends on n only through its
+stage, which changes when n reaches the next U_J.  One kernel per family
+walks consecutive n, computing a stage's terms when n enters it; ac_range
+streams its values, and ac, ac_simple and ac_nonsimple are its one-n case.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .extremal import (
     choose_k_nonsimple,
     choose_mn_simple,
+    split_stage_simple,
     v_b_count_simple,
     w_b_count_nonsimple,
     w_b_count_simple,
     w_stage_length_nonsimple,
     wv_stage_length_simple,
 )
-from .numeration import b_weight, normal_u_rep, power_rows, prefix_b_count, recurrence_sum, u_value
+from .numeration import power_rows, prefix_b_count, recurrence_sum, top_index
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -46,6 +53,94 @@ class ACResult(NamedTuple):
     method: str
 
 
+def _b_weights(rows: Iterable[tuple[int, int]], x: int, y: int) -> tuple[int, int]:
+    """sum_j d_j |phi^j(A)|_B over the greedy digits (d) of x, and the same for y.
+
+    rows yields (|phi^j(A)|_A, |phi^j(A)|_B) from the top place j down to 0;
+    x and y must be below U of the place above the top.  The two greedy
+    passes share each U_j = |phi^j(A)|_A + |phi^j(A)|_B.
+    """
+    weight_x = weight_y = 0
+    for count_a, count_b in rows:
+        u = count_a + count_b
+        if x >= u:
+            digit, x = divmod(x, u)
+            weight_x += digit * count_b
+        if y >= u:
+            digit, y = divmod(y, u)
+            weight_y += digit * count_b
+    return weight_x, weight_y
+
+
+def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) -> Iterator[int]:
+    """ac_nonsimple's formula for n = start..stop, one stage N at a time.
+
+    The default k is N + 2 for the N with U_N <= n < U_{N+1}, as in
+    choose_k_nonsimple.  k, U_k, U_{k+1} and |w^(k)| change only when n
+    reaches U_{N+1}; per n there remain the admissibility check and the
+    two digit passes.
+    """
+    n = start
+    n_idx = top_index(m, n)
+    while n <= stop:
+        k_idx = n_idx + 2 if k is None else k
+        w_length = w_stage_length_nonsimple(m, k_idx)
+        counts_a, counts_b = power_rows(m, max(k_idx, n_idx) + 1)
+        u_k = counts_a[k_idx] + counts_b[k_idx]
+        u_k1 = counts_a[k_idx + 1] + counts_b[k_idx + 1]
+        last = min(stop, counts_a[n_idx + 1] + counts_b[n_idx + 1] - 1)
+        # |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
+        # _b_weights gives the two sums of the formula
+        rows_a, rows_b = counts_a[k_idx::-1], counts_b[k_idx::-1]
+        for n in range(n, last + 1):
+            if n > w_length:
+                raise ValueError(
+                    f"k={k_idx} is inadmissible: n={n} exceeds |w^({k_idx})|={w_length}")
+            weight_d, weight_e = _b_weights(zip(rows_a, rows_b), n, u_k1 - n)
+            value = 1 + u_k - weight_d - weight_e
+            assert value >= 2, (m, n, k_idx, value)
+            yield value
+        n, n_idx = last + 1, n_idx + 1
+
+
+def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
+    """ac_simple's formula for n = start..stop, one stage at a time.
+
+    Within U_J <= n < U_{J+1}, (M, N) takes one of two values on either
+    side of a threshold (split_stage_simple).  Each side's stage lengths
+    and constant term 2 + (q-1)(T - (M-N+1) |phi^(2N)(A)|_B) are computed
+    once; per n there remain the stage-bracket check and the two digit
+    passes.
+    """
+    n = start
+    j_idx = top_index(m, n)
+    while n <= stop:
+        counts_a, counts_b = power_rows(m, j_idx + 1)
+        stage_last = min(stop, counts_a[j_idx + 1] + counts_b[j_idx + 1] - 1)
+        rows_a, rows_b = counts_a[j_idx::-1], counts_b[j_idx::-1]
+        threshold, below, above = split_stage_simple(m, j_idx)
+        for (m_stage, n_stage), last in ((below, min(stage_last, threshold - 1)),
+                                         (above, stage_last)):
+            if n > last:
+                continue
+            w_low = wv_stage_length_simple(m, W, n_stage)
+            w_high = wv_stage_length_simple(m, W, n_stage + 1)
+            v_low = wv_stage_length_simple(m, V, m_stage)
+            v_high = wv_stage_length_simple(m, V, m_stage + 1)
+            telescoped = (recurrence_sum(m, (0, 1), 2 * n_stage - 1, 2)
+                          - recurrence_sum(m, (0, 1), 2 * n_stage - 2, 2))
+            overlap = (m_stage - n_stage + 1) * counts_b[2 * n_stage]
+            base = 2 + (m.q - 1) * (telescoped - overlap)
+            for n in range(n, last + 1):
+                assert w_low <= n < w_high and v_low <= n < v_high, (m, n, m_stage, n_stage)
+                weight_c, weight_d = _b_weights(zip(rows_a, rows_b), n - w_low, n - v_low)
+                value = base + weight_c - weight_d
+                assert value >= 2, (m, n, value)
+                yield value
+            n = last + 1
+        j_idx += 1
+
+
 def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     """AC(n) for the non-simple family.
 
@@ -58,17 +153,7 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if k is None:
-        k = choose_k_nonsimple(m, n)
-    elif n > w_stage_length_nonsimple(m, k):
-        raise ValueError(
-            f"k={k} is inadmissible: n={n} exceeds |w^({k})|={w_stage_length_nonsimple(m, k)}")
-    d = normal_u_rep(m, n, min_places=k + 1)
-    e = normal_u_rep(m, u_value(m, k + 1) - n, min_places=k + 1)
-    # U_{j-1} = |phi^j(A)|_B for j >= 1 and |A|_B = 0 in this family
-    value = 1 + u_value(m, k) - b_weight(m, d) - b_weight(m, e)
-    assert value >= 2, (m, n, k, value)
-    return value
+    return next(_nonsimple_values(m, n, n, k))
 
 
 def ac_simple(m: Morphism, n: int) -> int:
@@ -91,20 +176,29 @@ def ac_simple(m: Morphism, n: int) -> int:
             "ac_simple does not cover q = 1 (Sturmian); call ac() instead")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    m_stage, n_stage, j_idx = choose_mn_simple(m, n)
-    c = normal_u_rep(m, n - wv_stage_length_simple(m, W, n_stage), min_places=j_idx + 1)
-    d = normal_u_rep(m, n - wv_stage_length_simple(m, V, m_stage), min_places=j_idx + 1)
-    assert len(c) == len(d) == j_idx + 1
-    telescoped = (recurrence_sum(m, (0, 1), 2 * n_stage - 1, 2)
-                  - recurrence_sum(m, (0, 1), 2 * n_stage - 2, 2))
-    overlap = (m_stage - n_stage + 1) * power_rows(m, 2 * n_stage)[1][2 * n_stage]
-    value = 2 + (m.q - 1) * (telescoped - overlap) + b_weight(m, c) - b_weight(m, d)
-    assert value >= 2, (m, n, value)
-    return value
+    return next(_simple_values(m, n, n))
+
+
+def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
+    """AC(n) for n = start..stop inclusive, in order, as a lazy iterator.
+
+    Each stage's constants are computed once, when n enters it, so memory
+    stays constant however long the range.  Raises ValueError at once
+    unless 1 <= start <= stop.
+    """
+    if start < 1:
+        raise ValueError(f"start must be a positive integer, got {start}")
+    if stop < start:
+        raise ValueError(f"stop={stop} is below start={start}")
+    lengths = range(start, stop + 1)
+    if m.family is Family.SIMPLE and m.q == 1:
+        return map(ACResult, lengths, repeat(2), repeat(METHOD_STURMIAN))
+    values = _simple_values if m.family is Family.SIMPLE else _nonsimple_values
+    return map(ACResult, lengths, values(m, start, stop), repeat(METHOD_CLOSED_FORM))
 
 
 def ac(m: Morphism, n: int) -> ACResult:
-    """AC(n) with family dispatch.
+    """AC(n) with family dispatch: the one-n case of ac_range.
 
     Simple with q = 1 is Sturmian, constant 2; simple with q > 1 and
     non-simple go through their closed forms.  n must be >= 1: the
@@ -114,11 +208,7 @@ def ac(m: Morphism, n: int) -> ACResult:
         raise ValueError(
             f"n must be a positive integer, got {n}; Abelian complexity is "
             "defined only for factor lengths n >= 1")
-    if m.family is Family.SIMPLE and m.q == 1:
-        return ACResult(n, 2, METHOD_STURMIAN)
-    if m.family is Family.SIMPLE:
-        return ACResult(n, ac_simple(m, n), METHOD_CLOSED_FORM)
-    return ACResult(n, ac_nonsimple(m, n), METHOD_CLOSED_FORM)
+    return next(ac_range(m, n, n))
 
 
 def ac_via_prefix_counts(m: Morphism, n: int) -> int:

@@ -32,6 +32,7 @@ __all__ = [
     "w_b_count_nonsimple",
     "wv_prefix_simple",
     "wv_stage_length_simple",
+    "split_stage_simple",
     "choose_mn_simple",
     "v_b_count_simple",
     "w_b_count_simple",
@@ -134,27 +135,35 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2)
 
 
+def split_stage_simple(m: Morphism, j_idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """How the n with U_J <= n < U_{J+1} choose their stages (M, N).
+
+    Returns (threshold, below, above): n < threshold takes (M, N) = below
+    and n >= threshold takes above.  For even J, N = J/2 and the threshold
+    is |v^(J/2)|, with M = J/2 - 1 below it and J/2 above; for odd J,
+    M = (J-1)/2 and the threshold is |w^((J+1)/2)|, with N = (J-1)/2 below
+    it and (J+1)/2 above.
+    """
+    half = j_idx // 2
+    if j_idx % 2 == 0:
+        return wv_stage_length_simple(m, V, half), (half - 1, half), (half, half)
+    return wv_stage_length_simple(m, W, half + 1), (half, half), (half, half + 1)
+
+
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     """Stage indices (M, N, J) for a prefix length n >= 1.
 
-    J satisfies U_J <= n < U_{J+1}.  For even J, N = J/2 and M is J/2 or
-    J/2 - 1 depending on whether |v^(J/2)| <= n; for odd J, M = (J-1)/2
-    and N is (J+1)/2 or (J-1)/2 depending on whether |w^((J+1)/2)| <= n.
-    The result brackets n by stages: |w^(N)| <= n < |w^(N+1)| and
-    |v^(M)| <= n < |v^(M+1)|, where |v^(-1)| is taken to be 1.
+    J satisfies U_J <= n < U_{J+1}, and (M, N) comes from
+    split_stage_simple.  The result brackets n by stages:
+    |w^(N)| <= n < |w^(N+1)| and |v^(M)| <= n < |v^(M+1)|, where |v^(-1)|
+    is taken to be 1.
     """
     _require_simple_extremal(m, "choose_mn_simple")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     j_idx = top_index(m, n)
-    if j_idx % 2 == 0:
-        n_stage = j_idx // 2
-        m_stage = n_stage if wv_stage_length_simple(m, V, n_stage) <= n else n_stage - 1
-    else:
-        m_stage = (j_idx - 1) // 2
-        n_stage = (m_stage + 1
-                   if wv_stage_length_simple(m, W, m_stage + 1) <= n
-                   else m_stage)
+    threshold, below, above = split_stage_simple(m, j_idx)
+    m_stage, n_stage = above if threshold <= n else below
     assert wv_stage_length_simple(m, W, n_stage) <= n < wv_stage_length_simple(m, W, n_stage + 1)
     assert wv_stage_length_simple(m, V, m_stage) <= n < wv_stage_length_simple(m, V, m_stage + 1)
     return m_stage, n_stage, j_idx

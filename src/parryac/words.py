@@ -121,8 +121,9 @@ def make_morphism(p: int, q: int, family: Family | str) -> Morphism:
 def _check_word(word: str) -> None:
     if not isinstance(word, str):
         raise TypeError(f"expected a word as str, got {type(word).__name__}")
-    stray = set(word) - _LETTERS
-    if stray:
+    # two C-level counts; the set of stray letters is built only for the message
+    if word.count(A) + word.count(B) != len(word):
+        stray = set(word) - _LETTERS
         raise ValueError(f"word contains letters outside {{A, B}}: {sorted(stray)}")
 
 

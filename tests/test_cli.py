@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import parryac
-from parryac import words
+from parryac import ac, make_morphism, words
 from parryac.cli import (
     EX_MISMATCH,
     EX_OK,
@@ -84,6 +87,49 @@ def test_ac_csv_roundtrip_determinism(capsys):
     _, second, _ = run(capsys, ["ac", *S32, "--format", "csv",
                                 "--n", rows[0][0], "--n-end", rows[-1][0]])
     assert first == second
+
+
+def _payload_text(m, fmt, n_start, n_end):
+    """The whole output of `ac` over a range, built as one string."""
+    results = [ac(m, n) for n in range(n_start, n_end + 1)]
+    if fmt == "json":
+        return json.dumps({
+            "p": m.p, "q": m.q, "family": m.family.value,
+            "results": [{"n": str(r.n), "ac": r.value, "method": r.method} for r in results],
+        }) + "\n"
+    if fmt == "csv":
+        return "n,ac,method\n" + "".join(f"{r.n},{r.value},{r.method}\n" for r in results)
+    return "".join(f"{r.n} {r.value} {r.method}\n" for r in results)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("argv", [S32, NS31, S41])
+@pytest.mark.parametrize("n_start, n_end", [(1, 9000), (7, 7), (10 ** 20, 10 ** 20 + 5)])
+def test_ac_range_output_is_the_whole_payload(capsys, argv, fmt, n_start, n_end):
+    # streamed in chunks of rows, the bytes equal those of the payload built at once
+    m = make_morphism(int(argv[3]), int(argv[5]), argv[1])
+    code, out, _ = run(capsys, ["ac", *argv, "--format", fmt,
+                                "--n", str(n_start), "--n-end", str(n_end)])
+    assert code == EX_OK
+    assert out == _payload_text(m, fmt, n_start, n_end)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_ac_long_range_streams_in_constant_memory():
+    argv = ["ac", *S32, "--format", "csv", "--n", "1", "--n-end", "100000"]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EX_OK
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_ac_rejects_zero(capsys):

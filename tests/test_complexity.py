@@ -7,9 +7,11 @@ import pytest
 from parryac import (
     METHOD_CLOSED_FORM,
     METHOD_STURMIAN,
+    ACResult,
     UnsupportedConstructionError,
     ac,
     ac_nonsimple,
+    ac_range,
     ac_simple,
     ac_via_prefix_counts,
     balance_bound,
@@ -17,6 +19,9 @@ from parryac import (
     make_morphism,
     max_ac,
     oracle_ac,
+    u_value,
+    w_stage_length_nonsimple,
+    wv_stage_length_simple,
 )
 from conftest import (
     MATRIX_IDENTITY,
@@ -111,6 +116,56 @@ def test_ac_dispatch_closed_form(nonsimple31, simple32):
 def test_ac_rejects_zero(nonsimple31):
     with pytest.raises(ValueError, match="positive"):
         ac(nonsimple31, 0)
+
+
+# --- ranges ---------------------------------------------------------------------------
+
+GRID_25 = SIMPLE_GRID + NONSIMPLE_GRID + STURMIAN_SIMPLE
+
+
+@pytest.mark.parametrize("m", GRID_25)
+def test_ac_range_equals_ac(m):
+    assert list(ac_range(m, 1, 3000)) == [ac(m, n) for n in range(1, 3001)]
+
+
+def _stage_edges(m, top_j=12):
+    """U_J and the v/w stage lengths for every stage up to J = top_j."""
+    edges = [u_value(m, j) for j in range(top_j + 1)]
+    if m.family.value == "nonsimple":
+        edges += [w_stage_length_nonsimple(m, k) for k in range(top_j + 2)]
+    elif m.q > 1:
+        edges += [wv_stage_length_simple(m, "v", s) for s in range(-1, top_j // 2 + 1)]
+        edges += [wv_stage_length_simple(m, "w", s) for s in range(top_j // 2 + 2)]
+    return edges
+
+
+@pytest.mark.parametrize("m", GRID_25)
+def test_ac_range_equals_ac_across_stage_edges(m):
+    # spans that start just before, at and just after every stage change
+    starts = {max(edge + shift, 1) for edge in _stage_edges(m) for shift in (-1, 0, 1)}
+    starts |= {10 ** 30, 10 ** 30 + 12345}
+    for start in sorted(starts):
+        stop = start + 40
+        assert list(ac_range(m, start, stop)) == [ac(m, n) for n in range(start, stop + 1)]
+
+
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1],
+                               STURMIAN_SIMPLE[2]])
+def test_ac_range_equals_ac_at_5000_digits(m):
+    start = 7 * 10 ** 4999 + 12345
+    assert list(ac_range(m, start, start + 3)) == [ac(m, n) for n in range(start, start + 4)]
+
+
+@pytest.mark.parametrize("m", STURMIAN_SIMPLE)
+def test_ac_range_sturmian_rows(m):
+    assert list(ac_range(m, 5, 9)) == [ACResult(n, 2, METHOD_STURMIAN) for n in range(5, 10)]
+
+
+@pytest.mark.parametrize("start, stop", [(0, 5), (-3, 2), (5, 4)])
+def test_ac_range_rejects_bad_bounds(nonsimple31, start, stop):
+    # raised by the call itself, before any value is asked for
+    with pytest.raises(ValueError):
+        ac_range(nonsimple31, start, stop)
 
 
 # --- prefix-difference route ----------------------------------------------------------

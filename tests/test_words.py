@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,11 @@ def test_apply_bab(nonsimple31):
 def test_apply_rejects_stray_letters(nonsimple31):
     with pytest.raises(ValueError, match="outside"):
         apply(nonsimple31, "ABC")
+    # the message names each stray letter once
+    with pytest.raises(ValueError, match=re.escape("outside {A, B}: ['x']")):
+        apply(nonsimple31, "AxB")
+    with pytest.raises(ValueError, match=re.escape("outside {A, B}: ['x', 'y']")):
+        apply(nonsimple31, "xAyBx")
 
 
 # --- incidence matrix -----------------------------------------------------------
