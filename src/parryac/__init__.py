@@ -8,7 +8,6 @@ and generators for the fixed point and its extremal companion words.
 from .complexity import (
     ACResult,
     METHOD_CLOSED_FORM,
-    METHOD_PREFIX_DIFFERENCE,
     METHOD_STURMIAN,
     ac,
     ac_nonsimple,
@@ -42,7 +41,6 @@ from .oracle import (
     ParikhInterval,
     oracle_ac,
     parikh_extrema,
-    parikh_set,
 )
 from .words import (
     A,
@@ -68,13 +66,13 @@ __version__ = "0.1.0"
 __all__ = [
     "A", "B", "GENERATION_CAP", "UBETA", "V", "W",
     "ACResult", "CapExceededError", "Family", "Morphism",
-    "METHOD_CLOSED_FORM", "METHOD_PREFIX_DIFFERENCE", "METHOD_STURMIAN",
+    "METHOD_CLOSED_FORM", "METHOD_STURMIAN",
     "ORACLE_N_CAP", "OracleInstabilityError", "ParikhInterval",
     "ParikhVector", "UnsupportedConstructionError",
     "ac", "ac_nonsimple", "ac_range", "ac_simple", "ac_via_prefix_counts", "apply",
     "balance_bound", "choose_k_nonsimple", "choose_mn_simple",
     "fixed_point_prefix", "make_morphism", "max_ac", "normal_u_rep", "oracle_ac",
-    "parikh", "parikh_extrema", "parikh_image", "parikh_set",
+    "parikh", "parikh_extrema", "parikh_image",
     "prefix_b_count", "prefix_decomposition", "u_rep_value", "u_value",
     "v_b_count_simple", "w_b_count_nonsimple",
     "w_b_count_simple", "w_prefix_nonsimple", "w_stage_length_nonsimple",

@@ -60,6 +60,13 @@ def _decimal(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
+        # never echo an input past the interpreter's int-string limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = sum(c.isdigit() for c in text)
+        if limit and digits > limit:
+            raise argparse.ArgumentTypeError(
+                f"a {digits}-digit integer exceeds this interpreter's limit of {limit} "
+                "digits for int-string conversion")
         raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
 
 

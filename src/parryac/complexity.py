@@ -9,12 +9,13 @@ B-count by at most one, the realized B-counts form an interval and
 where w_n and v_n are the length-n prefixes of the B-richest and
 B-poorest words.  Both counts have closed forms in the greedy U digits of
 n, giving AC(n) in O(log n) exact integer operations.  All matrix terms
-are evaluated through the cached row vectors (1,0) M^k; no rational
-matrix inverse is ever formed.  Stage lengths and the telescoped sum T
-below are partial sums of sequences with x_{k+2} = t x_{k+1} - d x_k
-(t, d the trace and determinant of M), so each costs O(1): the closed
-form in `numeration` divides exactly by det(I - M), which is -q or
-1 - p - q, or by det(I - M^2) for a sum over every other index.
+are evaluated through `numeration`, which owns the cached row vectors
+(1,0) M^k; no rational matrix inverse is ever formed.  Stage lengths and
+the telescoped sum T below are partial sums of sequences with
+x_{k+2} = t x_{k+1} - d x_k (t, d the trace and determinant of M), so
+each costs O(1): the closed form in `numeration` divides exactly by
+det(I - M), which is -q or 1 - p - q, or by det(I - M^2) for a sum over
+every other index.
 
 Everything in the formulas but the digits depends on n only through its
 stage, which changes when n reaches the next U_J.  One kernel per family
@@ -25,7 +26,7 @@ streams its values, and ac, ac_simple and ac_nonsimple are its one-n case.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .extremal import (
     choose_k_nonsimple,
@@ -37,11 +38,17 @@ from .extremal import (
     w_stage_length_nonsimple,
     wv_stage_length_simple,
 )
-from .numeration import power_rows, prefix_b_count, recurrence_sum, top_index
+from .numeration import (
+    b_weights,
+    place_rows,
+    prefix_b_count,
+    recurrence_sum,
+    top_index,
+    u_value,
+)
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
 
 METHOD_CLOSED_FORM = "closed_form"
-METHOD_PREFIX_DIFFERENCE = "prefix_difference"
 METHOD_STURMIAN = "sturmian"
 
 
@@ -51,25 +58,6 @@ class ACResult(NamedTuple):
     n: int
     value: int
     method: str
-
-
-def _b_weights(rows: Iterable[tuple[int, int]], x: int, y: int) -> tuple[int, int]:
-    """sum_j d_j |phi^j(A)|_B over the greedy digits (d) of x, and the same for y.
-
-    rows yields (|phi^j(A)|_A, |phi^j(A)|_B) from the top place j down to 0;
-    x and y must be below U of the place above the top.  The two greedy
-    passes share each U_j = |phi^j(A)|_A + |phi^j(A)|_B.
-    """
-    weight_x = weight_y = 0
-    for count_a, count_b in rows:
-        u = count_a + count_b
-        if x >= u:
-            digit, x = divmod(x, u)
-            weight_x += digit * count_b
-        if y >= u:
-            digit, y = divmod(y, u)
-            weight_y += digit * count_b
-    return weight_x, weight_y
 
 
 def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) -> Iterator[int]:
@@ -85,18 +73,16 @@ def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) 
     while n <= stop:
         k_idx = n_idx + 2 if k is None else k
         w_length = w_stage_length_nonsimple(m, k_idx)
-        counts_a, counts_b = power_rows(m, max(k_idx, n_idx) + 1)
-        u_k = counts_a[k_idx] + counts_b[k_idx]
-        u_k1 = counts_a[k_idx + 1] + counts_b[k_idx + 1]
-        last = min(stop, counts_a[n_idx + 1] + counts_b[n_idx + 1] - 1)
+        u_k, u_k1 = u_value(m, k_idx), u_value(m, k_idx + 1)
+        last = min(stop, u_value(m, n_idx + 1) - 1)
         # |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
-        # _b_weights gives the two sums of the formula
-        rows_a, rows_b = counts_a[k_idx::-1], counts_b[k_idx::-1]
+        # b_weights gives the two sums of the formula
+        rows = place_rows(m, k_idx)
         for n in range(n, last + 1):
             if n > w_length:
                 raise ValueError(
                     f"k={k_idx} is inadmissible: n={n} exceeds |w^({k_idx})|={w_length}")
-            weight_d, weight_e = _b_weights(zip(rows_a, rows_b), n, u_k1 - n)
+            weight_d, weight_e = b_weights(rows, n, u_k1 - n)
             value = 1 + u_k - weight_d - weight_e
             assert value >= 2, (m, n, k_idx, value)
             yield value
@@ -115,9 +101,8 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
     n = start
     j_idx = top_index(m, n)
     while n <= stop:
-        counts_a, counts_b = power_rows(m, j_idx + 1)
-        stage_last = min(stop, counts_a[j_idx + 1] + counts_b[j_idx + 1] - 1)
-        rows_a, rows_b = counts_a[j_idx::-1], counts_b[j_idx::-1]
+        stage_last = min(stop, u_value(m, j_idx + 1) - 1)
+        rows = place_rows(m, j_idx)
         threshold, below, above = split_stage_simple(m, j_idx)
         for (m_stage, n_stage), last in ((below, min(stage_last, threshold - 1)),
                                          (above, stage_last)):
@@ -127,13 +112,13 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
             w_high = wv_stage_length_simple(m, W, n_stage + 1)
             v_low = wv_stage_length_simple(m, V, m_stage)
             v_high = wv_stage_length_simple(m, V, m_stage + 1)
-            telescoped = (recurrence_sum(m, (0, 1), 2 * n_stage - 1, 2)
-                          - recurrence_sum(m, (0, 1), 2 * n_stage - 2, 2))
-            overlap = (m_stage - n_stage + 1) * counts_b[2 * n_stage]
-            base = 2 + (m.q - 1) * (telescoped - overlap)
+            # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
+            # term extends T's even sum to 2M
+            base = 2 + (m.q - 1) * (recurrence_sum(m, (0, 1), 2 * n_stage - 1, 2)
+                                    - recurrence_sum(m, (0, 1), 2 * m_stage, 2))
             for n in range(n, last + 1):
                 assert w_low <= n < w_high and v_low <= n < v_high, (m, n, m_stage, n_stage)
-                weight_c, weight_d = _b_weights(zip(rows_a, rows_b), n - w_low, n - v_low)
+                weight_c, weight_d = b_weights(rows, n - w_low, n - v_low)
                 value = base + weight_c - weight_d
                 assert value >= 2, (m, n, value)
                 yield value

@@ -12,7 +12,7 @@ logarithmic-time complexity formulas possible.
 
 from __future__ import annotations
 
-from .numeration import b_weight, normal_u_rep, recurrence_sum, top_index, u_value
+from .numeration import prefix_b_count, recurrence_sum, top_index, u_value
 from .words import (
     B,
     Family,
@@ -98,8 +98,7 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     if n > w_stage_length_nonsimple(m, k):
         raise IndexError(
             f"n={n} exceeds |w^({k})|={w_stage_length_nonsimple(m, k)}; pick a larger k")
-    digits = normal_u_rep(m, u_value(m, k + 1) - n, min_places=k + 1)
-    return u_value(m, k) - b_weight(m, digits)
+    return u_value(m, k) - prefix_b_count(m, u_value(m, k + 1) - n)
 
 
 # --- simple family (q > 1) ----------------------------------------------------
@@ -185,7 +184,7 @@ def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:
         raise ValueError(
             f"stage mismatch: need |v^({stage})|={low} <= n < |v^({stage + 1})|={high}, got n={n}")
     fixed = (m.q - 1) * recurrence_sum(m, (0, 1), 2 * stage, 2)
-    return fixed + b_weight(m, normal_u_rep(m, n - low))
+    return fixed + prefix_b_count(m, n - low)
 
 
 def w_b_count_simple(m: Morphism, n: int, stage: int) -> int:
@@ -204,4 +203,4 @@ def w_b_count_simple(m: Morphism, n: int, stage: int) -> int:
         raise ValueError(
             f"stage mismatch: need |w^({stage})|={low} <= n < |w^({stage + 1})|={high}, got n={n}")
     fixed = (m.q - 1) * recurrence_sum(m, (0, 1), 2 * stage - 1, 2)
-    return 1 + fixed + b_weight(m, normal_u_rep(m, n - low))
+    return 1 + fixed + prefix_b_count(m, n - low)

@@ -2,11 +2,13 @@
 
 One table per morphism holds the rows (1, 0) M^k = (|phi^k(A)|_A,
 |phi^k(A)|_B) of the incidence matrix M as two lists, grown by
-`parikh_image`.  U_k, the row's sum, starts at 1 and strictly increases, so
-it is the base of a positional numeration: every n >= 0 has a greedy digit
-string (d_N, ..., d_0), most significant first, with n = sum d_j U_j and
-every digit at most p.  The length-n prefix of the fixed point is then
-(phi^N(A))^{d_N} ... (phi(A))^{d_1} A^{d_0}.
+`parikh_image`.  Only this module reads it: other modules get U_k from
+`u_value` and hand the rows of `place_rows` to `b_weights`, the one
+weighted greedy pass.  U_k, the row's sum, starts at 1 and strictly
+increases, so it is the base of a positional numeration: every n >= 0 has
+a greedy digit string (d_N, ..., d_0), most significant first, with
+n = sum d_j U_j and every digit at most p.  The length-n prefix of the
+fixed point is then (phi^N(A))^{d_N} ... (phi(A))^{d_1} A^{d_0}.
 
 Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
 d x_k, with t and d the trace and determinant of M.  Summed over k, that
@@ -38,7 +40,7 @@ def _rows_cache(m: Morphism) -> tuple[list[int], list[int]]:
     return [1], [0]
 
 
-def power_rows(m: Morphism, k: int) -> tuple[list[int], list[int]]:
+def _power_rows(m: Morphism, k: int) -> tuple[list[int], list[int]]:
     """The lists of |phi^j(A)|_A and |phi^j(A)|_B, grown to cover j <= k.
 
     They only grow, under a lock, the first list before the second, so any
@@ -58,7 +60,7 @@ def u_value(m: Morphism, k: int) -> int:
     """U_k = |phi^k(A)|, memoized per morphism."""
     if k < 0:
         raise ValueError(f"index must be nonnegative, got {k}")
-    counts_a, counts_b = power_rows(m, k)
+    counts_a, counts_b = _power_rows(m, k)
     return counts_a[k] + counts_b[k]
 
 
@@ -68,7 +70,7 @@ def top_index(m: Morphism, n: int) -> int:
         raise ValueError(f"n must be nonnegative, got {n}")
     counts_a, counts_b = _rows_cache(m)
     while counts_a[-1] <= n:
-        power_rows(m, len(counts_b))
+        _power_rows(m, len(counts_b))
     # |phi^j(A)|_A <= U_j <= |phi^{j+1}(A)|_A, so with j the last index where
     # |phi^j(A)|_A <= n, N is j or j - 1 (and 0 for n = 0, where j = -1)
     j = bisect_right(counts_a, n) - 1
@@ -82,7 +84,7 @@ def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1)
     """
     if k < 0:
         return 0
-    a, b = power_rows(m, k + step)
+    a, b = _power_rows(m, k + step)
     wa, wb = weights
     r = k % step
     x0, x1 = wa * a[r] + wb * b[r], wa * a[r + step] + wb * b[r + step]
@@ -94,11 +96,34 @@ def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1)
     return (x0 + x1 - trace * x0 + det * xk - xk1) // (1 - trace + det)
 
 
-def b_weight(m: Morphism, digits: Sequence[int]) -> int:
-    """sum d_j |phi^j(A)|_B for a most-significant-first digit string."""
-    top = len(digits) - 1
-    counts_b = power_rows(m, top)[1]
-    return sum(d * counts_b[top - i] for i, d in enumerate(digits))
+def place_rows(m: Morphism, top: int) -> tuple[list[int], list[int]]:
+    """The rows of places top down to 0, as b_weights reads them.
+
+    One slice of the table: callers that run many passes over the same
+    places take it once and reuse it.
+    """
+    counts_a, counts_b = _power_rows(m, top)
+    return counts_a[top::-1], counts_b[top::-1]
+
+
+def b_weights(rows: tuple[list[int], list[int]], x: int, y: int = 0) -> tuple[int, int]:
+    """sum_j d_j |phi^j(A)|_B over the greedy digits (d) of x, and the same for y.
+
+    rows comes from place_rows(m, top); x and y must be below U_{top+1}.
+    The two greedy passes share each U_j = |phi^j(A)|_A + |phi^j(A)|_B, and
+    leading zero digits add nothing, so any top that covers x and y gives
+    the same sums.
+    """
+    weight_x = weight_y = 0
+    for count_a, count_b in zip(*rows):
+        u = count_a + count_b
+        if x >= u:
+            digit, x = divmod(x, u)
+            weight_x += digit * count_b
+        if y >= u:
+            digit, y = divmod(y, u)
+            weight_y += digit * count_b
+    return weight_x, weight_y
 
 
 def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[int, ...]:
@@ -114,7 +139,7 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     top = top_index(m, n)
     if min_places is not None:
         top = max(top, min_places - 1)
-    counts_a, counts_b = power_rows(m, top)
+    counts_a, counts_b = _power_rows(m, top)
     digits = []
     rest = n
     for j in range(top, -1, -1):
@@ -130,7 +155,7 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     string, normal or not.
     """
     top = len(digits) - 1
-    counts_a, counts_b = power_rows(m, top)
+    counts_a, counts_b = _power_rows(m, top)
     return sum(d * (counts_a[top - i] + counts_b[top - i]) for i, d in enumerate(digits))
 
 
@@ -157,6 +182,4 @@ def prefix_b_count(m: Morphism, n: int) -> int:
     the non-simple family |phi^i(A)|_B = U_{i-1} for i >= 1, so the sum
     collapses to sum_{j>=1} d_j U_{j-1}; the tests check both forms agree.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return b_weight(m, normal_u_rep(m, n))
+    return b_weights(place_rows(m, top_index(m, n)), n)[0]

@@ -33,7 +33,6 @@ from .words import (
     A,
     B,
     Morphism,
-    ParikhVector,
     apply,
     fixed_point_prefix,
     parikh_image,
@@ -96,24 +95,14 @@ def _window_counts(cum: np.ndarray, n: int) -> np.ndarray:
     return cum[n:] - cum[:-n]
 
 
-def _prefix_window_counts(m: Morphism, n: int, prefix_len: int) -> np.ndarray:
+def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
+    """Min and max B-count over all length-n windows of the given prefix."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if prefix_len < n:
         raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
-    return _window_counts(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
-
-
-def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
-    """Min and max B-count over all length-n windows of the given prefix."""
-    win = _prefix_window_counts(m, n, prefix_len)
+    win = _window_counts(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
     return ParikhInterval(n, int(win.min()), int(win.max()), prefix_len)
-
-
-def parikh_set(m: Morphism, n: int, prefix_len: int) -> set[ParikhVector]:
-    """The distinct Parikh vectors of all length-n windows of the prefix."""
-    win = _prefix_window_counts(m, n, prefix_len)
-    return {ParikhVector(n - b, b) for b in set(win.tolist())}
 
 
 @lru_cache(maxsize=1)

@@ -92,20 +92,6 @@ class Morphism:
     def image_b(self) -> str:
         return A * self.q + (B if self.family is Family.NONSIMPLE else "")
 
-    def image(self, letter: str) -> str:
-        if letter == A:
-            return self.image_a
-        if letter == B:
-            return self.image_b
-        raise ValueError(f"letter must be {A!r} or {B!r}, got {letter!r}")
-
-    @property
-    def sturmian(self) -> bool:
-        """True when the fixed point is Sturmian, i.e. AC(n) = 2 for every n."""
-        if self.family is Family.SIMPLE:
-            return self.q == 1
-        return self.p == self.q + 1
-
 
 def make_morphism(p: int, q: int, family: Family | str) -> Morphism:
     """Validate and build a morphism.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from parryac import Family, Morphism, make_morphism
+from parryac import Family, Morphism, ParikhVector, fixed_point_prefix, make_morphism
 
 
 # --- incidence-matrix algebra --------------------------------------------------
@@ -139,6 +139,12 @@ def ref_window_counts(text: str, n: int) -> set[int]:
         count += (text[i] == "B") - (text[i - n] == "B")
         counts.add(count)
     return counts
+
+
+def parikh_set(m: Morphism, n: int, prefix_len: int) -> set[ParikhVector]:
+    """The distinct Parikh vectors of all length-n windows of the package's prefix."""
+    return {ParikhVector(n - b, b)
+            for b in ref_window_counts(fixed_point_prefix(m, prefix_len), n)}
 
 
 SIMPLE_GRID = [make_morphism(p, q, "simple")

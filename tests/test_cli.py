@@ -312,5 +312,20 @@ def test_non_decimal_n(capsys):
     assert code == EX_USAGE
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-string limit")
+@pytest.mark.parametrize("argv", [
+    ["ac", *NS31, "--n", "7" * 4400],
+    ["ac", *S32, "--n", "1", "--n-end", "7" * 4400],
+    ["urep", *NS31, "--n", "7" * 4400],
+])
+def test_n_past_the_int_string_limit_names_the_limit(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EX_USAGE
+    assert out == ""
+    assert "4400-digit" in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
+    assert "7" * 100 not in err
+
+
 def test_exit_code_constants():
     assert (EX_OK, EX_MISMATCH, EX_UNSTABLE, EX_USAGE, EX_UNSUPPORTED) == (0, 1, 2, 64, 65)

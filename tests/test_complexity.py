@@ -187,6 +187,22 @@ def test_closed_form_equals_prefix_difference(m):
         assert ac(m, n).value == ac_via_prefix_counts(m, n)
 
 
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL + NONSIMPLE_GRID)
+def test_closed_form_equals_prefix_difference_around_u(m):
+    for j in range(61):
+        u = u_value(m, j)
+        for n in range(max(u - 1, 1), u + 2):
+            assert ac(m, n).value == ac_via_prefix_counts(m, n), (j, n)
+
+
+# the morphisms of test_ac_range_equals_ac_at_5000_digits but the Sturmian simple one,
+# which has no prefix-difference route
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])
+def test_closed_form_equals_prefix_difference_at_5000_digits(m):
+    n = 7 * 10 ** 4999 + 12345
+    assert ac_via_prefix_counts(m, n) == ac(m, n).value
+
+
 # --- bounds -----------------------------------------------------------------------------
 
 def test_max_ac_examples(nonsimple31, simple32):

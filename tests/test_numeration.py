@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from parryac import (
     u_rep_value,
     u_value,
 )
+from parryac.numeration import b_weights, place_rows, top_index
 from parryac.words import apply
 
 from conftest import FULL_GRID, STURMIAN_SIMPLE, ref_fixed_point, ref_matrix_powers
@@ -180,21 +183,55 @@ def test_prefix_b_count_nonsimple_collapses_to_u_weights(m):
         assert prefix_b_count(m, n) == collapsed
 
 
+@pytest.mark.parametrize("m", ALL_MORPHISMS)
+def test_b_weights_of_two_lengths_over_any_covering_top(m):
+    # one pass gives both lengths' sums, and places above their top add nothing
+    rng = random.Random(17)
+    for top in (6, 11):
+        rows, bound = place_rows(m, top), u_value(m, top + 1)
+        for _ in range(100):
+            x, y = rng.randrange(bound), rng.randrange(bound)
+            assert b_weights(rows, x, y) == (prefix_b_count(m, x), prefix_b_count(m, y))
+        assert b_weights(rows, bound - 1) == (prefix_b_count(m, bound - 1), 0)
+
+
 def test_reference_cross_check(nonsimple31):
     text = ref_fixed_point(nonsimple31, 5000)
     for n in (1, 2, 3, 47, 48, 49, 163, 164, 165, 4999):
         assert prefix_b_count(nonsimple31, n) == text[:n].count("B")
 
 
-def test_usequence_index_for(nonsimple31):
+def test_top_index(nonsimple31):
     # the top place N of n's greedy digits is the smallest N with n < U_{N+1}
-    def top(n):
-        return len(normal_u_rep(nonsimple31, n)) - 1
-    assert top(0) == 0
-    assert top(3) == 0
-    assert top(4) == 1
-    assert top(163) == 3
-    assert top(164) == 4
+    for n, top in ((0, 0), (3, 0), (4, 1), (163, 3), (164, 4)):
+        assert top_index(nonsimple31, n) == top
+        assert len(normal_u_rep(nonsimple31, n)) - 1 == top
+
+
+#: Names that reach the per-morphism row table.
+ROW_TABLE_NAMES = {"_rows_cache", "_rows_lock", "_power_rows", "power_rows"}
+
+
+def _identifiers(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.alias)):
+            names.add(node.name)
+    return names
+
+
+def test_only_numeration_names_the_row_table():
+    # the row table's format may change inside numeration alone; every other
+    # module reaches it through u_value, place_rows and b_weights
+    package = Path(__file__).resolve().parents[1] / "src" / "parryac"
+    assert {"_rows_cache", "_power_rows"} <= _identifiers(package / "numeration.py")
+    readers = {path.name for path in package.glob("*.py")
+               if path.name != "numeration.py" and _identifiers(path) & ROW_TABLE_NAMES}
+    assert readers == set()
 
 
 def test_concurrent_growth_keeps_the_row_table_exact():

@@ -15,13 +15,13 @@ from parryac import (
     make_morphism,
     oracle_ac,
     parikh_extrema,
-    parikh_set,
     u_value,
 )
 
 from conftest import (
     FULL_GRID,
     STURMIAN_SIMPLE,
+    parikh_set,
     ref_fixed_point,
     ref_window_counts,
     ref_window_interval,
