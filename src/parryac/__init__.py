@@ -12,7 +12,6 @@ from .complexity import (
     ac,
     ac_nonsimple,
     ac_range,
-    ac_simple,
     ac_via_prefix_counts,
     balance_bound,
     max_ac,
@@ -69,7 +68,7 @@ __all__ = [
     "METHOD_CLOSED_FORM", "METHOD_STURMIAN",
     "ORACLE_N_CAP", "OracleInstabilityError", "ParikhInterval",
     "ParikhVector", "UnsupportedConstructionError",
-    "ac", "ac_nonsimple", "ac_range", "ac_simple", "ac_via_prefix_counts", "apply",
+    "ac", "ac_nonsimple", "ac_range", "ac_via_prefix_counts", "apply",
     "balance_bound", "choose_k_nonsimple", "choose_mn_simple",
     "fixed_point_prefix", "make_morphism", "max_ac", "normal_u_rep", "oracle_ac",
     "parikh", "parikh_extrema", "parikh_image",

@@ -60,14 +60,15 @@ def _decimal(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
-        # never echo an input past the interpreter's int-string limit
+        # never echo a long input whole
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         digits = sum(c.isdigit() for c in text)
         if limit and digits > limit:
             raise argparse.ArgumentTypeError(
                 f"a {digits}-digit integer exceeds this interpreter's limit of {limit} "
                 "digits for int-string conversion")
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+        shown = repr(text[:20]) + (f"... ({len(text)} characters)" if len(text) > 20 else "")
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {shown}")
 
 
 def build_parser() -> argparse.ArgumentParser:

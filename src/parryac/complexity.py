@@ -20,7 +20,7 @@ every other index.
 Everything in the formulas but the digits depends on n only through its
 stage, which changes when n reaches the next U_J.  One kernel per family
 walks consecutive n, computing a stage's terms when n enters it; ac_range
-streams its values, and ac, ac_simple and ac_nonsimple are its one-n case.
+streams its values, and ac and ac_nonsimple are its one-n case.
 """
 
 from __future__ import annotations
@@ -90,13 +90,22 @@ def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) 
 
 
 def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
-    """ac_simple's formula for n = start..stop, one stage at a time.
+    """AC(n) for the simple family with q > 1, n = start..stop.
+
+    With stages (M, N, J) from choose_mn_simple, (c) the greedy digits of
+    n - |w^(N)| and (d) those of n - |v^(M)|, both padded to J+1 places:
+
+        AC(n) = 2 + (q-1) * (T - (M-N+1) |phi^(2N)(A)|_B)
+                  + sum_i (c_i - d_i) |phi^i(A)|_B,
+
+    where T = sum_{i=0..N-1} (|phi^(2i+1)(A)|_B - |phi^(2i)(A)|_B) is the
+    telescoped form of the alternating matrix-power sum, kept in pure
+    integer arithmetic.
 
     Within U_J <= n < U_{J+1}, (M, N) takes one of two values on either
     side of a threshold (split_stage_simple).  Each side's stage lengths
-    and constant term 2 + (q-1)(T - (M-N+1) |phi^(2N)(A)|_B) are computed
-    once; per n there remain the stage-bracket check and the two digit
-    passes.
+    and constant term are computed once; per n there remain the
+    stage-bracket check and the two digit passes.
     """
     n = start
     j_idx = top_index(m, n)
@@ -139,29 +148,6 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return next(_nonsimple_values(m, n, n, k))
-
-
-def ac_simple(m: Morphism, n: int) -> int:
-    """AC(n) for the simple family with q > 1.
-
-    With stages (M, N, J) from choose_mn_simple, (c) the greedy digits of
-    n - |w^(N)| and (d) those of n - |v^(M)|, both padded to J+1 places:
-
-        AC(n) = 2 + (q-1) * (T - (M-N+1) |phi^(2N)(A)|_B)
-                  + sum_i (c_i - d_i) |phi^i(A)|_B,
-
-    where T = sum_{i=0..N-1} (|phi^(2i+1)(A)|_B - |phi^(2i)(A)|_B) is the
-    telescoped form of the alternating matrix-power sum, kept in pure
-    integer arithmetic.
-    """
-    if m.family is not Family.SIMPLE:
-        raise ValueError(f"ac_simple requires a simple morphism, got {m.family.value}")
-    if m.q == 1:
-        raise UnsupportedConstructionError(
-            "ac_simple does not cover q = 1 (Sturmian); call ac() instead")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return next(_simple_values(m, n, n))
 
 
 def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:

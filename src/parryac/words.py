@@ -9,8 +9,14 @@ Each such morphism fixes a unique infinite word obtained by iterating on
 the letter A.  This module provides morphism validation and application,
 Parikh-vector accounting through the 2x2 incidence matrix, and
 generation of prefixes of the fixed point and of its two extremal
-companion words (the B-poorest word v and the B-richest word w) by
-iterating the morphism.  Nothing is cached between calls.
+companion words (the B-poorest word v and the B-richest word w).  One
+iteration T <- head + phi^r(T) builds all of them:
+
+    fixed point u        u = phi(u)
+    non-simple w         w = B phi(w)          (v is u)
+    simple v, w, q > 1   y = A^(q-1) phi^2(y),  v = A y,  w = B phi(y)
+
+so that phi^2(w) = A^p w and v = phi(w).  Nothing is cached between calls.
 
 All arithmetic is exact (Python ints).  Words are plain ASCII strings over
 "A"/"B"; CPython stores those at one byte per letter, which keeps long
@@ -65,7 +71,7 @@ class Morphism:
     """A validated (p, q, family) triple.
 
     Instances are immutable, hashable, and safe to share across threads;
-    they key the per-morphism caches used throughout the package.
+    they key numeration's row table and the oracle's one-entry cache.
     """
 
     p: int
@@ -127,63 +133,46 @@ def parikh_image(m: Morphism, pv: tuple[int, int]) -> ParikhVector:
     return ParikhVector(a * m.p + b * m.q, a)
 
 
-def _image(m: Morphism, word: str, head: str = "") -> str:
-    """head + phi(word), for a head without A's.
+def _image(word: str, image_a: str, image_b: str, head: str = "") -> str:
+    """head + word with every A replaced by image_a and every B by image_b.
 
-    Three replace passes beat str.translate by about 2x on long words.  The
-    lowercase b marks the source B's so that the A pass leaves them alone,
-    and the head joins the short source rather than its long image.
+    Two replace passes beat str.translate by about 2x on long words.  The
+    source is lowered so that the passes leave the images and the head,
+    all upper case, alone; the head joins the short source rather than its
+    long image.
     """
-    return (head + word.replace(B, "b")).replace(A, m.image_a).replace("b", m.image_b)
+    return (head + word.lower()).replace("a", image_a).replace("b", image_b)
 
 
 def apply(m: Morphism, word: str) -> str:
     """Image of a finite word: the concatenation of its letter images."""
     _check_word(word)
-    return _image(m, word)
+    return _image(word, m.image_a, m.image_b)
 
 
 # --- word generation -----------------------------------------------------------
 
-def _iterate(m: Morphism, head: str, start: str, length: int) -> str:
-    """Length-`length` prefix of the word T = head + phi(T) that begins with start.
+def _iterate(m: Morphism, head: str, start: str, length: int, power: int = 1) -> str:
+    """Length-`length` prefix of the word T = head + phi^power(T) that begins with start.
 
-    The prefix is the limit of T <- head + phi(T) from T = start, and only
-    the first `source` letters of T are mapped.  T has no factor BB, so at
-    least every other one of them is an A, whose image has p + 1 letters;
-    that makes their image longer than `length`, and no step builds much
-    more than 2 * length letters.
+    The prefix is the limit of T <- head + phi^power(T) from T = start, and
+    only the first `source` letters of T are mapped.  T has no factor BB,
+    so its letters pair up into factors AA, AB or BA, none with an image
+    shorter than |phi^power(AB)|; that makes the image of `source` letters
+    longer than `length`, and no step builds much more than 2 * length
+    letters.
     """
-    source = 2 * length // (m.p + 2) + 2
+    image_a, image_b = A, B
+    for _ in range(power):
+        image_a, image_b = apply(m, image_a), apply(m, image_b)
+    source = 2 * length // (len(image_a) + len(image_b)) + 2
     word = start
     while len(word) < length:
+        shorter = len(word)
         word = word[:source]  # free the unmapped rest before mapping
-        word = _image(m, word, head)
+        word = _image(word, image_a, image_b, head)
+        assert len(word) > shorter, f"a source of {source} letters stopped the growth"
     return word[:length]
-
-
-def _stage_product(m: Morphism, seed: str, length: int) -> str:
-    """v (seed A) or w (seed B) of the simple family with q > 1.
-
-    Each is the seed followed by blocks (phi^k(A))^(q-1), k = 0, 2, 4, ...
-    for v and k = 1, 3, 5, ... for w.  phi^k(A) is the fixed point's prefix
-    of length U_k, the sum of the row (1, 0) M^k, so the fixed point is
-    generated only as far as the longest block that is needed.
-    """
-    row = (1, 0) if seed == A else parikh_image(m, (1, 0))
-    sizes, total = [], 1
-    while total < length:
-        sizes.append(sum(row))
-        total += (m.q - 1) * sizes[-1]
-        row = parikh_image(m, parikh_image(m, row))
-    fixed_point = _iterate(m, "", A, min(sizes[-1], length)) if sizes else ""
-    pieces, total = [seed], 1
-    for size in sizes:
-        block = fixed_point[:size]
-        for _ in range(m.q - 1):
-            pieces.append(block[:length - total])
-            total += len(pieces[-1])
-    return "".join(pieces)
 
 
 def word_prefix(m: Morphism, target: str, length: int) -> str:
@@ -208,7 +197,10 @@ def word_prefix(m: Morphism, target: str, length: int) -> str:
     if m.family is Family.NONSIMPLE:
         # the B-richest word of the non-simple family satisfies w = B + phi(w)
         return _iterate(m, B, B, length)
-    return _stage_product(m, A if target == V else B, length)
+    # simple q > 1: y = A^(q-1) phi^2(y), v = A y and w = B phi(y), where
+    # phi(y) = phi(A)^(q-1) phi^2(phi(y)) has the same form
+    seed, head = (A, A * (m.q - 1)) if target == V else (B, m.image_a * (m.q - 1))
+    return seed + _iterate(m, head, head, length - 1, power=2)
 
 
 def fixed_point_prefix(m: Morphism, length: int) -> str:

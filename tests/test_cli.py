@@ -312,6 +312,19 @@ def test_non_decimal_n(capsys):
     assert code == EX_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["ac", *NS31, "--n", "x" * 5000],
+    ["ac", *NS31, "--n", "7" * 3000 + "x"],
+    ["ac", *S32, "--n", "1", "--n-end", "x" * 5000],
+    ["urep", *NS31, "--n", "x" * 5000],
+])
+def test_long_malformed_n_is_not_echoed(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EX_USAGE and out == ""
+    assert "not a decimal integer" in err and "characters" in err
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int-string limit")
 @pytest.mark.parametrize("argv", [

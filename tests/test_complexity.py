@@ -12,7 +12,6 @@ from parryac import (
     ac,
     ac_nonsimple,
     ac_range,
-    ac_simple,
     ac_via_prefix_counts,
     balance_bound,
     choose_k_nonsimple,
@@ -76,31 +75,6 @@ def test_ac_nonsimple_rejects_inadmissible_k(nonsimple31):
         ac_nonsimple(nonsimple31, 10, k=2)   # |w^(2)| = 9 < 10
 
 
-# --- ac_simple -------------------------------------------------------------------
-
-def test_ac_simple_worked_example(simple32):
-    assert ac_simple(simple32, 7) == 2
-
-
-def test_ac_simple_derived_example(simple32):
-    # both AAAAA and BAAAB occur as factors of length 5
-    assert ac_simple(simple32, 5) == 3
-
-
-def test_ac_simple_length_one(simple32):
-    assert ac_simple(simple32, 1) == 2
-
-
-def test_ac_simple_rejects_nonsimple(nonsimple31):
-    with pytest.raises(ValueError, match="simple"):
-        ac_simple(nonsimple31, 5)
-
-
-def test_ac_simple_rejects_q_one():
-    with pytest.raises(UnsupportedConstructionError):
-        ac_simple(make_morphism(4, 1, "simple"), 5)
-
-
 # --- dispatcher ---------------------------------------------------------------------
 
 def test_ac_dispatch_sturmian_shortcut():
@@ -111,6 +85,9 @@ def test_ac_dispatch_sturmian_shortcut():
 def test_ac_dispatch_closed_form(nonsimple31, simple32):
     assert ac(nonsimple31, 7) == (7, 3, METHOD_CLOSED_FORM)
     assert ac(simple32, 7) == (7, 2, METHOD_CLOSED_FORM)
+    # both AAAAA and BAAAB occur as factors of length 5
+    assert ac(simple32, 5) == (5, 3, METHOD_CLOSED_FORM)
+    assert ac(simple32, 1) == (1, 2, METHOD_CLOSED_FORM)
 
 
 def test_ac_rejects_zero(nonsimple31):

@@ -41,6 +41,7 @@ SIMPLE_LARGE_P = [make_morphism(60, 40, "simple"), make_morphism(100, 100, "simp
 NONSIMPLE_LARGE_P = [make_morphism(300, 299, "nonsimple"), make_morphism(1000, 1, "nonsimple")]
 # every short length, to catch an off-by-one in how much of a word is mapped
 PREFIX_LENGTHS = [*range(301), 4000]
+LONG_PREFIX = 2 * 10 ** 5
 
 
 # --- non-simple constructions ---------------------------------------------------
@@ -141,8 +142,13 @@ def test_wv_prefix_simple_examples(simple32):
 @pytest.mark.parametrize("m", SIMPLE_EXTREMAL + SIMPLE_LARGE_P)
 @pytest.mark.parametrize("which", ["v", "w"])
 def test_wv_prefix_simple_matches_reference(m, which):
-    reference = ref_wv_simple(m, which, 4000)
-    for length in PREFIX_LENGTHS:
+    # each step of the iteration maps only a cut of the word so far; lengths
+    # next to every stage length and every U_j are where a short cut shows
+    edges = [wv_stage_length_simple(m, kind, s) for kind in ("v", "w") for s in range(40)]
+    edges += [u_value(m, j) for j in range(40)]
+    lengths = {edge + shift for edge in edges for shift in (-1, 0, 1)} | set(PREFIX_LENGTHS)
+    reference = ref_wv_simple(m, which, LONG_PREFIX)
+    for length in sorted(x for x in lengths if 0 <= x <= LONG_PREFIX):
         assert wv_prefix_simple(m, which, length) == reference[:length]
 
 
