@@ -82,11 +82,20 @@ def test_ac_dispatch_sturmian_shortcut():
     assert result.value == 2 and result.method == METHOD_STURMIAN
 
 
-def test_ac_dispatch_closed_form(nonsimple31, simple32):
+def test_ac_dispatch_closed_form(nonsimple31):
     assert ac(nonsimple31, 7) == (7, 3, METHOD_CLOSED_FORM)
+
+
+def test_ac_simple_worked_example(simple32):
     assert ac(simple32, 7) == (7, 2, METHOD_CLOSED_FORM)
+
+
+def test_ac_simple_derived_example(simple32):
     # both AAAAA and BAAAB occur as factors of length 5
     assert ac(simple32, 5) == (5, 3, METHOD_CLOSED_FORM)
+
+
+def test_ac_simple_length_one(simple32):
     assert ac(simple32, 1) == (1, 2, METHOD_CLOSED_FORM)
 
 
