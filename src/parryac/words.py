@@ -152,26 +152,39 @@ def apply(m: Morphism, word: str) -> str:
 
 # --- word generation -----------------------------------------------------------
 
+def _image_prefix(word: str, images: tuple[str, str], length: int, passes: int = 1,
+                  head: str = "") -> str:
+    """head + word mapped `passes` times by A, B -> images, cut to more than `length` letters.
+
+    Each pass maps only the letters the rest need; the head joins on the last.
+    A word without BB pairs up into AA, AB and BA, none with an image
+    shorter than len(images[0]) + len(images[1]), which sets each cut.
+    """
+    cuts = [length]
+    for _ in range(passes):
+        cuts.append(2 * cuts[-1] // (len(images[0]) + len(images[1])) + 2)
+    for step in range(passes, 0, -1):
+        # slicing first frees the unmapped rest before mapping
+        word = _image(word[:cuts[step]], *images, head if step == 1 else "")
+    return word
+
+
 def _iterate(m: Morphism, head: str, start: str, length: int, power: int = 1) -> str:
     """Length-`length` prefix of the word T = head + phi^power(T) that begins with start.
 
-    The prefix is the limit of T <- head + phi^power(T) from T = start, and
-    only the first `source` letters of T are mapped.  T has no factor BB,
-    so its letters pair up into factors AA, AB or BA, none with an image
-    shorter than |phi^power(AB)|; that makes the image of `source` letters
-    longer than `length`, and no step builds much more than 2 * length
-    letters.
+    It is the limit of T <- head + phi^power(T) from T = start.  A step is one
+    pass of phi^power where its letter images fit in `length`, else `power`
+    passes of phi, so no step builds much more than 2 * length + 2 * |phi(A)| letters.
     """
-    image_a, image_b = A, B
-    for _ in range(power):
-        image_a, image_b = apply(m, image_a), apply(m, image_b)
-    source = 2 * length // (len(image_a) + len(image_b)) + 2
+    images, passes = (m.image_a, m.image_b), power
+    composed = tuple(_image_prefix(letter, images, length, power) for letter in (A, B))
+    if len(composed[0]) <= length:  # whole images: |phi^r(B)| <= |phi^r(A)|
+        images, passes = composed, 1
     word = start
     while len(word) < length:
         shorter = len(word)
-        word = word[:source]  # free the unmapped rest before mapping
-        word = _image(word, image_a, image_b, head)
-        assert len(word) > shorter, f"a source of {source} letters stopped the growth"
+        word = _image_prefix(word, images, length, passes, head)
+        assert len(word) > shorter, f"a step from {shorter} letters stopped the growth"
     return word[:length]
 
 
@@ -198,9 +211,12 @@ def word_prefix(m: Morphism, target: str, length: int) -> str:
         # the B-richest word of the non-simple family satisfies w = B + phi(w)
         return _iterate(m, B, B, length)
     # simple q > 1: y = A^(q-1) phi^2(y), v = A y and w = B phi(y), where
-    # phi(y) = phi(A)^(q-1) phi^2(phi(y)) has the same form
-    seed, head = (A, A * (m.q - 1)) if target == V else (B, m.image_a * (m.q - 1))
-    return seed + _iterate(m, head, head, length - 1, power=2)
+    # phi(y) = phi(A^(q-1)) phi^2(phi(y)) has the same form.  A head cut to
+    # more than `length` letters is the whole prefix, and no step is taken.
+    head = A * (m.q - 1)
+    if target == W:
+        head = _image_prefix(head, (m.image_a, m.image_b), length)
+    return (A if target == V else B) + _iterate(m, head, head, length - 1, power=2)
 
 
 def fixed_point_prefix(m: Morphism, length: int) -> str:
@@ -208,6 +224,6 @@ def fixed_point_prefix(m: Morphism, length: int) -> str:
 
     Deterministic and prefix-stable: the result for a shorter length is
     always a prefix of the result for a longer one.  Each call costs
-    O(length) time and memory; nothing is cached between calls.
+    O(length + p) time and memory; nothing is cached between calls.
     """
     return word_prefix(m, UBETA, length)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from parryac import (
@@ -150,6 +152,25 @@ def test_wv_prefix_simple_matches_reference(m, which):
     reference = ref_wv_simple(m, which, LONG_PREFIX)
     for length in sorted(x for x in lengths if 0 <= x <= LONG_PREFIX):
         assert wv_prefix_simple(m, which, length) == reference[:length]
+
+
+@pytest.mark.parametrize("which", ["v", "w"])
+def test_wv_prefix_simple_large_p_builds_no_long_image(which):
+    # |phi^2(A)| is about 10^10 letters here, so a prefix must come from
+    # single passes over short cuts.  The reference w starts B phi(A), and
+    # v = phi(w) starts A^q phi(A)^2, both past the first p + 2 letters
+    m = make_morphism(10 ** 5, 2, "simple")
+    reference_w = ref_wv_simple(m, "w", m.p + 2)
+    expected = {"w": reference_w, "v": apply(m, reference_w[:3])}[which]
+    tracemalloc.start()
+    try:
+        prefixes = {n: wv_prefix_simple(m, which, n) for n in (1, 10, m.p + 1, m.p + 2)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+    for n, prefix in prefixes.items():
+        assert prefix == expected[:n]
 
 
 def test_wv_prefix_simple_rejects_sturmian_case():
