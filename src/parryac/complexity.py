@@ -9,7 +9,7 @@ B-count by at most one, the realized B-counts form an interval and
 where w_n and v_n are the length-n prefixes of the B-richest and
 B-poorest words.  Both counts have closed forms in the greedy U digits of
 n, giving AC(n) in O(log n) exact integer operations.  All matrix terms
-are evaluated through `numeration`, which owns the cached row vectors
+are evaluated through `numeration`, which computes the row vectors
 (1,0) M^k; no rational matrix inverse is ever formed.  Stage lengths and
 the telescoped sum T below are partial sums of sequences with
 x_{k+2} = t x_{k+1} - d x_k (t, d the trace and determinant of M), so
@@ -38,14 +38,7 @@ from .extremal import (
     w_stage_length_nonsimple,
     wv_stage_length_simple,
 )
-from .numeration import (
-    b_weights,
-    place_rows,
-    prefix_b_count,
-    recurrence_sum,
-    top_index,
-    u_value,
-)
+from .numeration import b_weights, place_rows, prefix_b_count, top_index
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -72,12 +65,12 @@ def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) 
     n_idx = top_index(m, n)
     while n <= stop:
         k_idx = n_idx + 2 if k is None else k
-        w_length = w_stage_length_nonsimple(m, k_idx)
-        u_k, u_k1 = u_value(m, k_idx), u_value(m, k_idx + 1)
-        last = min(stop, u_value(m, n_idx + 1) - 1)
         # |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
         # b_weights gives the two sums of the formula
         rows = place_rows(m, k_idx)
+        w_length = w_stage_length_nonsimple(m, k_idx, rows=rows)
+        u_k, u_k1 = rows.u(k_idx), rows.u(k_idx + 1)
+        last = min(stop, rows.u(n_idx + 1) - 1)
         for n in range(n, last + 1):
             if n > w_length:
                 raise ValueError(
@@ -110,21 +103,21 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
     n = start
     j_idx = top_index(m, n)
     while n <= stop:
-        stage_last = min(stop, u_value(m, j_idx + 1) - 1)
         rows = place_rows(m, j_idx)
-        threshold, below, above = split_stage_simple(m, j_idx)
+        stage_last = min(stop, rows.u(j_idx + 1) - 1)
+        threshold, below, above = split_stage_simple(m, j_idx, rows=rows)
         for (m_stage, n_stage), last in ((below, min(stage_last, threshold - 1)),
                                          (above, stage_last)):
             if n > last:
                 continue
-            w_low = wv_stage_length_simple(m, W, n_stage)
-            w_high = wv_stage_length_simple(m, W, n_stage + 1)
-            v_low = wv_stage_length_simple(m, V, m_stage)
-            v_high = wv_stage_length_simple(m, V, m_stage + 1)
+            w_low = wv_stage_length_simple(m, W, n_stage, rows=rows)
+            w_high = wv_stage_length_simple(m, W, n_stage + 1, rows=rows)
+            v_low = wv_stage_length_simple(m, V, m_stage, rows=rows)
+            v_high = wv_stage_length_simple(m, V, m_stage + 1, rows=rows)
             # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
             # term extends T's even sum to 2M
-            base = 2 + (m.q - 1) * (recurrence_sum(m, (0, 1), 2 * n_stage - 1, 2)
-                                    - recurrence_sum(m, (0, 1), 2 * m_stage, 2))
+            base = 2 + (m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)
+                                    - rows.sum((0, 1), 2 * m_stage, 2))
             for n in range(n, last + 1):
                 assert w_low <= n < w_high and v_low <= n < v_high, (m, n, m_stage, n_stage)
                 weight_c, weight_d = b_weights(rows, n - w_low, n - v_low)

@@ -12,7 +12,7 @@ logarithmic-time complexity formulas possible.
 
 from __future__ import annotations
 
-from .numeration import prefix_b_count, recurrence_sum, top_index, u_value
+from .numeration import Rows, prefix_b_count, recurrence_sum, top_index, u_value
 from .words import (
     B,
     Family,
@@ -58,16 +58,17 @@ def w_prefix_nonsimple(m: Morphism, length: int) -> str:
     return word_prefix(m, W, length)
 
 
-def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
+def w_stage_length_nonsimple(m: Morphism, stage: int, *, rows: Rows | None = None) -> int:
     """|w^(stage)| = sum_{j=0..stage} |phi^j(B)|.
 
     phi^{j+1}(A) = (phi^j(A))^p phi^j(B), so |phi^j(B)| = U_{j+1} - p U_j,
     which is |phi^j(A)|_A + (q + 1 - p) |phi^j(A)|_B by one row step.
+    rows are as in numeration.recurrence_sum.
     """
     _require_family(m, Family.NONSIMPLE, "w_stage_length_nonsimple")
     if stage < 0:
         raise ValueError(f"stage must be nonnegative, got {stage}")
-    return recurrence_sum(m, (1, m.q + 1 - m.p), stage)
+    return recurrence_sum(m, (1, m.q + 1 - m.p), stage, rows=rows)
 
 
 def choose_k_nonsimple(m: Morphism, n: int) -> int:
@@ -118,12 +119,14 @@ def wv_prefix_simple(m: Morphism, which: str, length: int) -> str:
     return word_prefix(m, which, length)
 
 
-def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
+def wv_stage_length_simple(m: Morphism, which: str, stage: int, *,
+                           rows: Rows | None = None) -> int:
     """|v^(stage)| = 1 + (q-1) sum_{j=0..stage} U_{2j}, or
     |w^(stage)| = 1 + (q-1) sum_{j=0..stage-1} U_{2j+1}.
 
     For v only, stage = -1 is allowed and yields 1 (empty-sum convention
-    covering prefixes shorter than |v^(0)| = q).
+    covering prefixes shorter than |v^(0)| = q).  rows are as in
+    numeration.recurrence_sum.
     """
     _check_which(which)
     _require_simple_extremal(m, "wv_stage_length_simple")
@@ -131,22 +134,23 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     if stage < first:
         raise ValueError(f"{which} stages start at {first}, got {stage}")
     top = 2 * stage if which == V else 2 * stage - 1
-    return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2)
+    return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2, rows=rows)
 
 
-def split_stage_simple(m: Morphism, j_idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+def split_stage_simple(m: Morphism, j_idx: int, *,
+                       rows: Rows | None = None) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """How the n with U_J <= n < U_{J+1} choose their stages (M, N).
 
     Returns (threshold, below, above): n < threshold takes (M, N) = below
     and n >= threshold takes above.  For even J, N = J/2 and the threshold
     is |v^(J/2)|, with M = J/2 - 1 below it and J/2 above; for odd J,
     M = (J-1)/2 and the threshold is |w^((J+1)/2)|, with N = (J-1)/2 below
-    it and (J+1)/2 above.
+    it and (J+1)/2 above.  rows are as in numeration.recurrence_sum.
     """
     half = j_idx // 2
     if j_idx % 2 == 0:
-        return wv_stage_length_simple(m, V, half), (half - 1, half), (half, half)
-    return wv_stage_length_simple(m, W, half + 1), (half, half), (half, half + 1)
+        return wv_stage_length_simple(m, V, half, rows=rows), (half - 1, half), (half, half)
+    return wv_stage_length_simple(m, W, half + 1, rows=rows), (half, half), (half, half + 1)
 
 
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:

@@ -71,7 +71,8 @@ class Morphism:
     """A validated (p, q, family) triple.
 
     Instances are immutable, hashable, and safe to share across threads;
-    they key numeration's row table and the oracle's one-entry cache.
+    they key numeration's rows j < 128 and block coefficients, and the
+    oracle's one-entry cache.
     """
 
     p: int
@@ -152,21 +153,39 @@ def apply(m: Morphism, word: str) -> str:
 
 # --- word generation -----------------------------------------------------------
 
+def _source_cut(word: str, images: tuple[str, str], length: int) -> int:
+    """The shortest prefix of word whose image has more than `length` letters, or all of it.
+
+    Each round takes as many more letters as could at most fill the
+    deficit plus one, so it never passes the shortest such prefix, and
+    counts the B's among them to size their image.
+    """
+    size_a, size_b = len(images[0]), len(images[1])
+    cut = count_b = size = 0
+    while size <= length and cut < len(word):
+        more = (length - size) // size_a + 1
+        count_b += word.count(B, cut, cut + more)
+        cut = min(cut + more, len(word))
+        size = cut * size_a - count_b * (size_a - size_b)
+    return cut
+
+
 def _image_prefix(word: str, images: tuple[str, str], length: int, passes: int = 1,
                   head: str = "") -> str:
     """head + word mapped `passes` times by A, B -> images, cut to more than `length` letters.
 
     Each pass maps only the letters the rest need; the head joins on the last.
-    A word without BB pairs up into AA, AB and BA, none with an image
-    shorter than len(images[0]) + len(images[1]), which sets each cut.
+    The last pass's source is cut by its letter counts.  For the earlier
+    ones, a word without BB pairs up into AA, AB and BA, none with an image
+    shorter than len(images[0]) + len(images[1]), which bounds each cut.
     """
     cuts = [length]
     for _ in range(passes):
         cuts.append(2 * cuts[-1] // (len(images[0]) + len(images[1])) + 2)
-    for step in range(passes, 0, -1):
+    for step in range(passes, 1, -1):
         # slicing first frees the unmapped rest before mapping
-        word = _image(word[:cuts[step]], *images, head if step == 1 else "")
-    return word
+        word = _image(word[:cuts[step]], *images)
+    return _image(word[:_source_cut(word, images, length)], *images, head)
 
 
 def _iterate(m: Morphism, head: str, start: str, length: int, power: int = 1) -> str:
@@ -174,7 +193,8 @@ def _iterate(m: Morphism, head: str, start: str, length: int, power: int = 1) ->
 
     It is the limit of T <- head + phi^power(T) from T = start.  A step is one
     pass of phi^power where its letter images fit in `length`, else `power`
-    passes of phi, so no step builds much more than 2 * length + 2 * |phi(A)| letters.
+    passes of phi, so no step builds much more than 2 * length + 2 * |phi(A)| letters;
+    the last pass of a step builds at most length + |head| plus one letter image.
     """
     images, passes = (m.image_a, m.image_b), power
     composed = tuple(_image_prefix(letter, images, length, power) for letter in (A, B))

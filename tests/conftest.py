@@ -57,6 +57,63 @@ def ref_stride_sum(values: list[int], top: int, step: int) -> int:
     return sum(values[j] for j in range(top % step, top + 1, step)) if top >= 0 else 0
 
 
+# --- greedy-digit certificates ----------------------------------------------------
+
+def ref_rows(m: Morphism):
+    """The rows (1,0) M^j = (|phi^j(A)|_A, |phi^j(A)|_B) for j = 0, 1, ..., one at a time."""
+    (p, one), (q, e) = incidence_matrix(m)
+    a, b = 1, 0
+    while True:
+        yield a, b
+        a, b = a * p + b * q, a * one + b * e
+
+
+def ref_digit_sums(m: Morphism, digits) -> tuple[int, int]:
+    """(sum d_j U_j, sum d_j |phi^j(A)|_B) over a most-significant-first digit string.
+
+    Walks the rows upward from j = 0 and keeps only the current one, so
+    memory stays O(L) for L-bit sums.
+    """
+    value = weight = 0
+    for d, (a, b) in zip(reversed(digits), ref_rows(m)):
+        value += d * (a + b)
+        weight += d * b
+    return value, weight
+
+
+def ref_quasi_greedy(m: Morphism, length: int) -> list[int]:
+    """The first letters of Parry's quasi-greedy string d*_beta(1): p q q q ...
+    (non-simple) or p (q-1) p (q-1) ... (simple), the greedy digits of U_length - 1."""
+    if m.family is Family.NONSIMPLE:
+        return [m.p] + [m.q] * (length - 1)
+    return [m.q - 1 if i % 2 else m.p for i in range(length)]
+
+
+def ref_admissible(m: Morphism, digits) -> bool:
+    """Parry's condition: no run of lowest digits is lexicographically above d*.
+
+    For each start k, agree[0][k] is how far digits[k:] agrees with d*; the
+    run from k exceeds d* when the first digit that disagrees is larger.
+    d* reads p, then repeats one letter (non-simple) or returns to p after
+    q - 1 (simple), so agreement from a letter of d* needs only the
+    agreement from the next digit on, computed right to left in O(L).
+    """
+    count = len(digits)
+    star = ref_quasi_greedy(m, count)
+    letter = (m.p, star[1] if count > 1 else m.q)
+    after = (1, 1 if m.family is Family.NONSIMPLE else 0)  # the phase of d*'s next letter
+    agree = [[0] * (count + 1), [0] * (count + 1)]
+    for k in range(count - 1, -1, -1):
+        for phase in (0, 1):
+            if digits[k] == letter[phase]:
+                agree[phase][k] = 1 + agree[after[phase]][k + 1]
+    for k in range(count):
+        i = agree[0][k]
+        if k + i < count and digits[k + i] > star[i]:
+            return False
+    return True
+
+
 # --- words ----------------------------------------------------------------------
 
 def ref_images(m: Morphism) -> dict[str, str]:

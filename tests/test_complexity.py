@@ -181,6 +181,16 @@ def test_closed_form_equals_prefix_difference_around_u(m):
             assert ac(m, n).value == ac_via_prefix_counts(m, n), (j, n)
 
 
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])
+def test_closed_form_equals_prefix_difference_around_u_past_the_row_list(m):
+    # the kernels' rows start above n's top place, so for n = U_j - 1 place j,
+    # a block edge for some j, is in the pass with a rest just below U_j
+    for j in range(120, 420):
+        u = u_value(m, j)
+        for n in (u - 1, u, u + 1):
+            assert ac(m, n).value == ac_via_prefix_counts(m, n), (j, n)
+
+
 # the morphisms of test_ac_range_equals_ac_at_5000_digits but the Sturmian simple one,
 # which has no prefix-difference route
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])

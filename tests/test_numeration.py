@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import ast
+import gc
 import random
 import sys
 import threading
-from pathlib import Path
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from parryac import (
     Family,
+    ac,
     fixed_point_prefix,
     make_morphism,
     normal_u_rep,
@@ -22,13 +23,23 @@ from parryac import (
     u_rep_value,
     u_value,
 )
-from parryac.numeration import b_weights, place_rows, top_index
+from parryac.numeration import _block_plan, _blocks, _plan, b_weights, place_rows, top_index
 from parryac.words import apply
 
-from conftest import FULL_GRID, STURMIAN_SIMPLE, ref_fixed_point, ref_matrix_powers
+from conftest import (
+    FULL_GRID,
+    STURMIAN_SIMPLE,
+    ref_admissible,
+    ref_digit_sums,
+    ref_fixed_point,
+    ref_matrix_powers,
+    ref_rows,
+)
 
 ALL_MORPHISMS = FULL_GRID + STURMIAN_SIMPLE
 ANY_MORPHISM = st.sampled_from(ALL_MORPHISMS)
+BASELINE = [make_morphism(3, 1, "nonsimple"), make_morphism(3, 2, "simple"),
+            make_morphism(5, 5, "simple")]
 
 
 def test_u_values_nonsimple(nonsimple31):
@@ -187,7 +198,7 @@ def test_prefix_b_count_nonsimple_collapses_to_u_weights(m):
 def test_b_weights_of_two_lengths_over_any_covering_top(m):
     # one pass gives both lengths' sums, and places above their top add nothing
     rng = random.Random(17)
-    for top in (6, 11):
+    for top in (6, 11, 200):
         rows, bound = place_rows(m, top), u_value(m, top + 1)
         for _ in range(100):
             x, y = rng.randrange(bound), rng.randrange(bound)
@@ -208,35 +219,111 @@ def test_top_index(nonsimple31):
         assert len(normal_u_rep(nonsimple31, n)) - 1 == top
 
 
-#: Names that reach the per-morphism row table.
-ROW_TABLE_NAMES = {"_rows_cache", "_rows_lock", "_power_rows", "power_rows"}
+def test_no_numeration_structure_grows_with_n():
+    # each morphism keeps the rows j < 128 and its block coefficients, both
+    # fixed in size; no call leaves anything behind that grows with n
+    m = make_morphism(5, 2, "nonsimple")
+    ac(m, 10 ** 300)  # past place 128: the row list and the block coefficients exist
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for digits in (2000, 10000):
+            n = 7 * 10 ** (digits - 1) + 12345
+            ac(m, n)
+            normal_u_rep(m, n)
+            prefix_b_count(m, n)
+            u_value(m, 5 * digits)
+        del n
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 16 * 2 ** 10, kept
+    assert [len(column) for column in _plan(m).counts] == [128, 128]
 
 
-def _identifiers(path: Path) -> set[str]:
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, (ast.FunctionDef, ast.alias)):
-            names.add(node.name)
-    return names
+@pytest.mark.parametrize("m", BASELINE, ids=str)
+def test_large_n_runs_in_a_few_megabytes(m):
+    n = 7 * 10 ** 9999 + 12345
+    ac(m, 10 ** 300)  # past place 128: the row list and the block coefficients exist
+    tracemalloc.start()
+    try:
+        ac(m, n)
+        normal_u_rep(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
 
 
-def test_only_numeration_names_the_row_table():
-    # the row table's format may change inside numeration alone; every other
-    # module reaches it through u_value, place_rows and b_weights
-    package = Path(__file__).resolve().parents[1] / "src" / "parryac"
-    assert {"_rows_cache", "_power_rows"} <= _identifiers(package / "numeration.py")
-    readers = {path.name for path in package.glob("*.py")
-               if path.name != "numeration.py" and _identifiers(path) & ROW_TABLE_NAMES}
-    assert readers == set()
+# --- large-n certificates ----------------------------------------------------------
+
+#: The baseline three, two non-simple morphisms with d = p - q > 1 (one with
+#: places of about 20 bits), and a simple one whose every place spans more
+#: than 64 bits.
+CERTIFIED = BASELINE + [make_morphism(7, 3, "nonsimple"), make_morphism(10 ** 6, 1, "nonsimple"),
+                        make_morphism(2 ** 70, 3, "simple")]
 
 
-def test_concurrent_growth_keeps_the_row_table_exact():
-    # threads grow one cold table at once; a lost or doubled row step would
-    # shift every later entry
+def _assert_certified(m, n):
+    # the digits are Parry-admissible and sum to n, so they are n's greedy
+    # digits; their B-weight, summed independently, is the prefix B-count
+    digits = normal_u_rep(m, n)
+    assert digits[0] > 0 or digits == (0,), n
+    assert ref_admissible(m, digits), n
+    value, weight = ref_digit_sums(m, digits)
+    assert value == n
+    assert prefix_b_count(m, n) == weight, n
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_greedy_digits_certified_around_u(m):
+    # U_j - 1, U_j and U_j + 1 sit on a place's edge; j <= 600 crosses the
+    # end of the row list and many block edges
+    for j, (a, b) in zip(range(601), ref_rows(m)):
+        for n in (a + b - 1, a + b, a + b + 1):
+            _assert_certified(m, n)
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_greedy_digits_certified_at_large_n(m):
+    rng = random.Random(m.p % 1000 * 10 + m.q)
+    for low, high in ((5000, 12000), (12000, 30000)):
+        digits = rng.randrange(low, high + 1)
+        _assert_certified(m, rng.randrange(10 ** (digits - 1), 10 ** digits))
+
+
+def _places_on_their_lower_bound(m, top):
+    # places j <= top where U_j / 2^S lies less than one unit above the lower
+    # bound unit + u1 of its truncated value, for the pass's own blocks and S
+    plan = _block_plan(m)
+    found = []
+    for lo, span, s0, s1 in _blocks(place_rows(m, top)):
+        shift = max(s0.bit_length() - plan.precision, 0)
+        cut = plan.width - span
+        for offset, a, b in zip(range(span - 1, -1, -1), plan.u0[cut:], plan.u1[cut:]):
+            unit = a * (s0 >> shift) + b * (s1 >> shift)
+            if shift and (a * s0 + b * s1) - ((unit + b) << shift) < 1 << shift:
+                found.append(lo + offset)
+    return found
+
+
+@pytest.mark.parametrize("m", [make_morphism(p, q, "nonsimple") for p, q in ((2, 1), (5, 2), (7, 3))],
+                         ids=str)
+def test_greedy_digits_certified_where_a_place_sits_on_its_lower_bound(m):
+    # the certificate's upper margin has no unit to spare at n = U_j for
+    # these j: the truncated value overstates U_j by all but under one unit
+    # (only non-simple places have a negative coefficient to allow that)
+    places = _places_on_their_lower_bound(m, 2600)
+    assert places
+    for j in places:
+        for n in (u_value(m, j), u_value(m, j) + 1):
+            _assert_certified(m, n)
+
+
+def test_concurrent_cold_start_keeps_u_values_exact():
+    # threads build one cold morphism's row list and block coefficients at
+    # once, then read places on both sides of the list's end
     m = make_morphism(7, 3, "nonsimple")
     u = [sum(power[0]) for power in ref_matrix_powers(m, 400)]
     failures = []
