@@ -15,27 +15,12 @@ Then |phi^j(A)|_B = s_{j-1}, and U_j = s_j (non-simple) or s_j + s_{j-1}
 2x2 matrix powering, by doubling in O(log j) products, and moves by a few
 steps of the recurrence: up by multiplication, down by exact division by d.
 Each morphism keeps only the rows j < 128, as two lists built whole; they
-cover every n below about 2^88 and end every greedy pass.  The block
-coefficients below are kept too, built when a pass first reaches place 128.
+cover every n below about 2^88 and end every greedy pass.
 
-The greedy pass (`b_weights`, and `normal_u_rep` with the digits) walks
-the places above that list down in blocks of b places, b about 128 bits'
-worth and at least 4.  Place lo + i of a block is U_{lo+i} = u0_i s_lo +
-u1_i s_{lo-1} with small integers u0_i, u1_i, so the block's digits
-collapse to one exact update x -= X s_lo + Y s_{lo-1}, X = sum d_i u0_i
-and Y = sum d_i u1_i, and the weight sum_j d_j |phi^j(A)|_B to another
-(one sum of the digits against coefficients packed side by side gives
-all four); the window then moves down b places by one exact division by
-d^b.  The digits come from x, s_lo
-and s_{lo-1} cut to their top bits (x >> S and so on, G bits for s_lo).
-The cut puts x / 2^S in [x', x' + 1) and U_{lo+i} / 2^S in
-[U' + low_i, U' + high_i], low_i and high_i the sums of the negative and
-the positive coefficients, and each digit d taken widens the interval of
-the rest by d high_i below and by -d low_i above.  A digit is certified
-when that whole interval lies in [0, U' + low_i); a block with an
-uncertified digit is redone with exact divmod.  The widening stays below
-2^(G-64-log2 beta) units, so that happens about once in 2^64 places, and
-at inputs that sit on a place's edge, such as U_j or U_j - 1.
+Above the list, the greedy pass (`b_weights`, and `normal_u_rep` with
+the digits) walks down in blocks of places with digits certified from
+truncated values; that machinery lives in `_blocked`, imported on the
+first n past the list, so short processes never load it.
 
 Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
 d x_k.  Summed over k, that gives x_0 + ... + x_k = (x_0 + x_1 - t x_0 +
@@ -55,125 +40,37 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import repeat
-from operator import add, floordiv, mul, sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .words import Family, Morphism
 
 #: Rows j below this are kept per morphism; places at or above it are
 #: reached from windows.
 _LOW_PLACES = 128
-#: Bits of n that one block of places spans, and the guard bits that the
-#: truncated values carry beyond their error bounds.
-_BLOCK_BITS = 128
-_GUARD_BITS = 64
 
 
-class _Plan(NamedTuple):
+class _Plan:
     """A morphism's row list and recurrence.
 
     counts holds |phi^j(A)|_A and |phi^j(A)|_B for j < _LOW_PLACES.
     """
 
-    m: Morphism
-    counts: tuple[list[int], list[int]]
-    trace: int
-    det: int
-    steps: tuple[tuple[int, int], tuple[int, int]]  # trace and det of M and of M^2
-    simple: int        # 1 where U_j = s_j + s_{j-1}, 0 where U_j = s_j
-    log2_beta: float
+    __slots__ = ("m", "counts", "trace", "det", "steps", "simple", "log2_beta")
+
+    def __init__(self, m: Morphism):
+        self.m = m
+        self.simple = simple = 1 if m.family is Family.SIMPLE else 0  # U_j = s_j + simple s_{j-1}
+        self.trace, self.det = trace, det = m.p + 1 - simple, m.p - m.q if not simple else -m.q
+        self.steps = (trace, det), (trace * trace - 2 * det, det * det)  # of M and of M^2
+        s = [0, 1]  # s_{-1}, s_0, ..., s_127
+        while len(s) <= _LOW_PLACES:
+            s.append(trace * s[-1] - det * s[-2])
+        counts_b = s[:_LOW_PLACES]  # |phi^j(A)|_B = s_{j-1}
+        self.counts = [s_j + (simple - 1) * b_j for s_j, b_j in zip(s[1:], counts_b)], counts_b
+        self.log2_beta = math.log2(trace) + math.log2((1 + math.sqrt(1 - 4 * det / trace ** 2)) / 2)
 
 
-@lru_cache(maxsize=None)
-def _plan(m: Morphism) -> _Plan:
-    simple = 1 if m.family is Family.SIMPLE else 0
-    trace, det = m.p + 1 - simple, m.p - m.q if not simple else -m.q
-    s = [0, 1]  # s_{-1}, s_0, ..., s_127
-    while len(s) <= _LOW_PLACES:
-        s.append(trace * s[-1] - det * s[-2])
-    counts_b = s[:_LOW_PLACES]  # |phi^j(A)|_B = s_{j-1}
-    counts_a = [s_j + (simple - 1) * b_j for s_j, b_j in zip(s[1:], counts_b)]
-    log2_beta = math.log2(trace) + math.log2((1 + math.sqrt(1 - 4 * det / trace ** 2)) / 2)
-    return _Plan(m, (counts_a, counts_b), trace, det,
-                 ((trace, det), (trace * trace - 2 * det, det * det)), simple, log2_beta)
-
-
-class _BlockPlan(NamedTuple):
-    """The small coefficients of one block of places, for the pass above the list.
-
-    The columns u0, u1 and packed hold offsets width - 1 down to 0, top first.
-    """
-
-    det: int
-    width: int         # places per block
-    precision: int     # G, the bits kept of s_lo
-    p_coef: tuple[int, ...]  # s_{lo+i} = P_i s_lo + Q_i s_{lo-1}, at i + 1
-    q_coef: tuple[int, ...]
-    u0: tuple[int, ...]
-    u1: tuple[int, ...]
-    field: int         # bits of one field of `packed`
-    packed: tuple[int, ...]  # u0, |u1|, |phi^i(A)|_B's two coefficients, a field each
-
-
-@lru_cache(maxsize=None)
-def _block_plan(m: Morphism) -> _BlockPlan:
-    """Built on the first pass that reaches place _LOW_PLACES."""
-    plan = _plan(m)
-    trace, det, simple = plan.trace, plan.det, plan.simple
-    # wide places still take a few per block, to share each window step
-    width = max(4, int(_BLOCK_BITS / plan.log2_beta))
-    p_coef, q_coef = [0, 1], [1, 0]  # i = -1, 0
-    for _ in range(width):
-        p_coef.append(trace * p_coef[-1] - det * p_coef[-2])
-        q_coef.append(trace * q_coef[-1] - det * q_coef[-2])
-    top_first = range(width, 0, -1)  # i + 1 for i = width - 1 .. 0
-    u0 = tuple(p_coef[i] + simple * p_coef[i - 1] for i in top_first)
-    u1 = tuple(q_coef[i] + simple * q_coef[i - 1] for i in top_first)
-    # u0 >= 0, and u1 >= 0 (simple) or <= 0 (non-simple): the pass relies on it
-    assert min(u0) >= 0 and (min(u1) >= 0 if simple else max(u1) <= 0), m
-    # the bound on a block's error, and room for rests as small as U_lo / beta,
-    # which digit strings near Parry's quasi-greedy one leave at every place
-    spread = 1 + m.p * sum(u0) + m.p * sum(map(abs, u1))
-    precision = spread.bit_length() + math.ceil(plan.log2_beta) + _GUARD_BITS
-    # |phi^j(A)|_B = s_{j-1} has coefficients P_{i-1} and Q_{i-1}, no larger
-    # than u0 and |u1|, and Q_{i-1} has u1's sign but at i = 0 (Q_{-1} = 1),
-    # which the pass adds apart in the non-simple family.  A block's digits
-    # are at most p + 1, even from truncated values below U_{top+1}, so with
-    # fields of 2 spread one sum of the digits times `packed` gives all
-    # four of a block's sums without carries between them.
-    field = (2 * spread).bit_length()
-    packed = tuple(a + (abs(b) << field) + (p_coef[i - 1] << 2 * field)
-                   + ((abs(q_coef[i - 1]) if simple or i > 1 else 0) << 3 * field)
-                   for a, b, i in zip(u0, u1, top_first))
-    return _BlockPlan(det, width, precision, tuple(p_coef), tuple(q_coef), u0, u1, field, packed)
-
-
-def _window(plan: _Plan, k: int) -> tuple[int, int]:
-    """(s_k, s_{k-1}) for k >= 0, by doubling from a window of the row list."""
-    if k < _LOW_PLACES:
-        counts_a, counts_b = plan.counts
-        return counts_a[k] + (1 - plan.simple) * counts_b[k], counts_b[k]
-    trace, det = plan.trace, plan.det
-    shift = k.bit_length() - 7
-    s, s1 = _window(plan, k >> shift)
-    for bit in range(shift - 1, -1, -1):
-        # s_{2j} = s_j^2 - d s_{j-1}^2, s_{2j+1} = s_j (t s_j - 2d s_{j-1})
-        # and s_{2j-1} = s_{j-1} (2 s_j - t s_{j-1})
-        even = s * s - det * (s1 * s1)
-        if k >> bit & 1:
-            s, s1 = s * (trace * s - 2 * det * s1), even
-        else:
-            s, s1 = even, s1 * (2 * s - trace * s1)
-    return s, s1
-
-
-def _step_down(plan: _BlockPlan, s0: int, s1: int, places: int) -> tuple[int, int]:
-    """The window `places` (<= width) below (s0, s1), by one exact division by d^places."""
-    p_up, p_at = plan.p_coef[places + 1], plan.p_coef[places]
-    q_up, q_at = plan.q_coef[places + 1], plan.q_coef[places]
-    divisor = plan.det ** places
-    return (q_at * s0 - q_up * s1) // divisor, (p_up * s1 - p_at * s0) // divisor
+_plan = lru_cache(maxsize=None)(_Plan)
 
 
 class Rows:
@@ -196,6 +93,7 @@ class Rows:
         self.low = counts_a[cut::-1], counts_b[cut::-1]
         self._first, self._band = 0, ()
         if top + 4 >= _LOW_PLACES:  # the band reaches past the list
+            from ._blocked import _window
             s_top, s_prev = window or _window(plan, top)
             band = [s_prev, s_top]
             for _ in range(4):
@@ -209,7 +107,10 @@ class Rows:
         if j < _LOW_PLACES - 1:
             return self._counts[1][j + 1]
         i = j - self._first
-        return self._band[i] if 0 <= i < len(self._band) else _window(self._plan, j)[0]
+        if 0 <= i < len(self._band):
+            return self._band[i]
+        from ._blocked import _window
+        return _window(self._plan, j)[0]
 
     def row(self, j: int) -> tuple[int, int]:
         """(|phi^j(A)|_A, |phi^j(A)|_B)."""
@@ -291,6 +192,7 @@ def u_value(m: Morphism, k: int) -> int:
     if k < _LOW_PLACES:
         counts_a, counts_b = _plan(m).counts
         return counts_a[k] + counts_b[k]
+    from ._blocked import _window
     plan = _plan(m)
     s_k, s_prev = _window(plan, k)
     return s_k + plan.simple * s_prev
@@ -309,72 +211,6 @@ def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1,
     return rows.sum(weights, k, step)
 
 
-def _blocks(rows: Rows):
-    """(lo, span, s_lo, s_{lo-1}) for the blocks of places rows.top .. _LOW_PLACES, top first.
-
-    Blocks are aligned on _LOW_PLACES, so the first may span fewer places.
-    """
-    plan = _block_plan(rows._plan.m)
-    lo = _LOW_PLACES + (rows.top - _LOW_PLACES) // plan.width * plan.width
-    s0, s1 = _step_down(plan, rows.s(rows.top), rows.s(rows.top - 1), rows.top - lo)
-    span = rows.top - lo + 1
-    while True:
-        yield lo, span, s0, s1
-        if lo == _LOW_PLACES:
-            return
-        s0, s1 = _step_down(plan, s0, s1, plan.width)
-        lo, span = lo - plan.width, plan.width
-
-
-def _descend(rows: Rows, values: Sequence[int],
-             digits: list[int] | None = None) -> tuple[list[int], list[int]]:
-    """The greedy pass over places rows.top .. _LOW_PLACES for each value.
-
-    Returns each value's rest, now below U_{_LOW_PLACES}, and its
-    sum_j d_j |phi^j(A)|_B over those places.  With `digits` (one value),
-    the digits are appended to it, top first.
-    """
-    plan = _block_plan(rows._plan.m)
-    simple, field = rows._plan.simple, plan.field
-    sign, mask = 2 * simple - 1, (1 << field) - 1  # the sign of u1
-    rests, weights = list(values), [0] * len(values)
-    for lo, span, s0, s1 in _blocks(rows):
-        cut = plan.width - span
-        u0, u1, packed = plan.u0[cut:], plan.u1[cut:], plan.packed[cut:]
-        shift = max(s0.bit_length() - plan.precision, 0)
-        # U_j / 2^S lies in [unit + low, unit + high], where low is the sum of
-        # the negative coefficients and high that of the positive ones: u1 in
-        # the non-simple family, none in the simple one
-        units = list(map(add, map(mul, u0, repeat(s0 >> shift)), map(mul, u1, repeat(s1 >> shift))))
-        edges = units if simple or not shift else list(map(add, units, u1))
-        for v, rest in enumerate(rests):
-            proxy = head = rest >> shift
-            remainders = [proxy := proxy % unit for unit in units]
-            block = list(map(floordiv, [head, *remainders[:-1]], units))
-            fields = sum(map(mul, block, packed))
-            x, y = fields & mask, sign * (fields >> field & mask)
-            # the rest over 2^S lies in [proxy, proxy + 1), and the digits
-            # widen that by sum d high below and by -sum d low above; a digit
-            # is certain when its widened rest lies in [0, unit + low), and
-            # unit + low <= U_j / 2^S
-            below, above = (x + simple * y, -(1 - simple) * y) if shift else (0, 0)
-            if min(remainders) >= below and max(map(sub, remainders, edges)) + above < 0:
-                rest -= x * s0 + y * s1
-            else:
-                # a rest too near a place's edge: this block by exact division
-                block = []
-                for a, b in zip(u0, u1):
-                    digit, rest = divmod(rest, a * s0 + b * s1)
-                    block.append(digit)
-                fields = sum(map(mul, block, packed))
-            rests[v] = rest
-            weights[v] += ((fields >> 2 * field & mask) * s0
-                           + (sign * (fields >> 3 * field) + (1 - simple) * block[-1]) * s1)
-            if digits is not None:
-                digits += block
-    return rests, weights
-
-
 def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     """sum_j d_j |phi^j(A)|_B over the greedy digits (d) of x, and the same for y.
 
@@ -385,6 +221,7 @@ def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     """
     weight_x = weight_y = 0
     if rows.top >= _LOW_PLACES:
+        from ._blocked import _descend
         (x, y), (weight_x, weight_y) = _descend(rows, (x, y))
     for count_a, count_b in zip(*rows.low):
         u = count_a + count_b
@@ -411,6 +248,7 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     digits = [0] * ((min_places or 0) - 1 - rows.top)
     rest = n
     if rows.top >= _LOW_PLACES:
+        from ._blocked import _descend
         (rest,), _ = _descend(rows, (n,), digits)
     for count_a, count_b in zip(*rows.low):
         d, rest = divmod(rest, count_a + count_b)
@@ -427,11 +265,8 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     top = len(digits) - 1
     total = 0
     if top >= _LOW_PLACES:
-        plan = _block_plan(m)
-        for lo, span, s0, s1 in _blocks(place_rows(m, top)):
-            cut = plan.width - span
-            block = digits[top - lo - span + 1:top - lo + 1]
-            total += sum(map(mul, block, plan.u0[cut:])) * s0 + sum(map(mul, block, plan.u1[cut:])) * s1
+        from ._blocked import _upper_value
+        total = _upper_value(place_rows(m, top), digits)
         digits = digits[top - _LOW_PLACES + 1:]
     counts_a, counts_b = _plan(m).counts
     return total + sum(d * (counts_a[j] + counts_b[j]) for j, d in enumerate(reversed(digits)))

@@ -23,7 +23,8 @@ from parryac import (
     u_rep_value,
     u_value,
 )
-from parryac.numeration import _block_plan, _blocks, _plan, b_weights, place_rows, top_index
+from parryac._blocked import _block_plan, _blocks
+from parryac.numeration import _plan, b_weights, place_rows, top_index
 from parryac.words import apply
 
 from conftest import (
