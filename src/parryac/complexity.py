@@ -25,18 +25,19 @@ streams its values, and ac and ac_nonsimple are its one-n case.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .extremal import (
+    _split_stage,
+    _w_stage_length,
+    _wv_stage_length,
     choose_k_nonsimple,
     choose_mn_simple,
-    split_stage_simple,
     v_b_count_simple,
     w_b_count_nonsimple,
     w_b_count_simple,
-    w_stage_length_nonsimple,
-    wv_stage_length_simple,
 )
 from .numeration import b_weights, place_rows, prefix_b_count, top_index
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
@@ -68,7 +69,7 @@ def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) 
         # |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
         # b_weights gives the two sums of the formula
         rows = place_rows(m, k_idx)
-        w_length = w_stage_length_nonsimple(m, k_idx, rows=rows)
+        w_length = _w_stage_length(rows, k_idx)
         u_k, u_k1 = rows.u(k_idx), rows.u(k_idx + 1)
         last = min(stop, rows.u(n_idx + 1) - 1)
         for n in range(n, last + 1):
@@ -105,15 +106,14 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
     while n <= stop:
         rows = place_rows(m, j_idx)
         stage_last = min(stop, rows.u(j_idx + 1) - 1)
-        threshold, below, above = split_stage_simple(m, j_idx, rows=rows)
+        stage_length = partial(_wv_stage_length, rows)
+        threshold, below, above = _split_stage(j_idx, stage_length)
         for (m_stage, n_stage), last in ((below, min(stage_last, threshold - 1)),
                                          (above, stage_last)):
             if n > last:
                 continue
-            w_low = wv_stage_length_simple(m, W, n_stage, rows=rows)
-            w_high = wv_stage_length_simple(m, W, n_stage + 1, rows=rows)
-            v_low = wv_stage_length_simple(m, V, m_stage, rows=rows)
-            v_high = wv_stage_length_simple(m, V, m_stage + 1, rows=rows)
+            w_low, w_high = stage_length(W, n_stage), stage_length(W, n_stage + 1)
+            v_low, v_high = stage_length(V, m_stage), stage_length(V, m_stage + 1)
             # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
             # term extends T's even sum to 2M
             base = 2 + (m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)

@@ -12,6 +12,9 @@ logarithmic-time complexity formulas possible.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 from .numeration import Rows, prefix_b_count, recurrence_sum, top_index, u_value
 from .words import (
     B,
@@ -58,17 +61,25 @@ def w_prefix_nonsimple(m: Morphism, length: int) -> str:
     return word_prefix(m, W, length)
 
 
-def w_stage_length_nonsimple(m: Morphism, stage: int, *, rows: Rows | None = None) -> int:
+def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
     """|w^(stage)| = sum_{j=0..stage} |phi^j(B)|.
 
     phi^{j+1}(A) = (phi^j(A))^p phi^j(B), so |phi^j(B)| = U_{j+1} - p U_j,
     which is |phi^j(A)|_A + (q + 1 - p) |phi^j(A)|_B by one row step.
-    rows are as in numeration.recurrence_sum.
     """
     _require_family(m, Family.NONSIMPLE, "w_stage_length_nonsimple")
     if stage < 0:
         raise ValueError(f"stage must be nonnegative, got {stage}")
-    return recurrence_sum(m, (1, m.q + 1 - m.p), stage, rows=rows)
+    return recurrence_sum(m, (1, m.q + 1 - m.p), stage)
+
+
+def _w_stage_length(rows: Rows, stage: int) -> int:
+    """w_stage_length_nonsimple(rows.m, stage), unchecked, from rows near the stage.
+
+    rows is numeration.place_rows(m, j) for some j near stage: a kernel
+    reads all of a stage's rows from one such window.
+    """
+    return rows.sum((1, rows.m.q + 1 - rows.m.p), stage)
 
 
 def choose_k_nonsimple(m: Morphism, n: int) -> int:
@@ -119,14 +130,12 @@ def wv_prefix_simple(m: Morphism, which: str, length: int) -> str:
     return word_prefix(m, which, length)
 
 
-def wv_stage_length_simple(m: Morphism, which: str, stage: int, *,
-                           rows: Rows | None = None) -> int:
+def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     """|v^(stage)| = 1 + (q-1) sum_{j=0..stage} U_{2j}, or
     |w^(stage)| = 1 + (q-1) sum_{j=0..stage-1} U_{2j+1}.
 
     For v only, stage = -1 is allowed and yields 1 (empty-sum convention
-    covering prefixes shorter than |v^(0)| = q).  rows are as in
-    numeration.recurrence_sum.
+    covering prefixes shorter than |v^(0)| = q).
     """
     _check_which(which)
     _require_simple_extremal(m, "wv_stage_length_simple")
@@ -134,23 +143,34 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int, *,
     if stage < first:
         raise ValueError(f"{which} stages start at {first}, got {stage}")
     top = 2 * stage if which == V else 2 * stage - 1
-    return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2, rows=rows)
+    return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2)
 
 
-def split_stage_simple(m: Morphism, j_idx: int, *,
-                       rows: Rows | None = None) -> tuple[int, tuple[int, int], tuple[int, int]]:
+def _wv_stage_length(rows: Rows, which: str, stage: int) -> int:
+    """wv_stage_length_simple(rows.m, which, stage), unchecked, as _w_stage_length."""
+    top = 2 * stage if which == V else 2 * stage - 1
+    return 1 + (rows.m.q - 1) * rows.sum((1, 1), top, 2)
+
+
+def split_stage_simple(m: Morphism, j_idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """How the n with U_J <= n < U_{J+1} choose their stages (M, N).
 
     Returns (threshold, below, above): n < threshold takes (M, N) = below
     and n >= threshold takes above.  For even J, N = J/2 and the threshold
     is |v^(J/2)|, with M = J/2 - 1 below it and J/2 above; for odd J,
     M = (J-1)/2 and the threshold is |w^((J+1)/2)|, with N = (J-1)/2 below
-    it and (J+1)/2 above.  rows are as in numeration.recurrence_sum.
+    it and (J+1)/2 above.
     """
+    return _split_stage(j_idx, partial(wv_stage_length_simple, m))
+
+
+def _split_stage(j_idx: int, stage_length: Callable[[str, int], int]
+                 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """split_stage_simple, with stage lengths from stage_length(which, stage)."""
     half = j_idx // 2
     if j_idx % 2 == 0:
-        return wv_stage_length_simple(m, V, half, rows=rows), (half - 1, half), (half, half)
-    return wv_stage_length_simple(m, W, half + 1, rows=rows), (half, half), (half, half + 1)
+        return stage_length(V, half), (half - 1, half), (half, half)
+    return stage_length(W, half + 1), (half, half), (half, half + 1)
 
 
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:

@@ -14,13 +14,27 @@ Then |phi^j(A)|_B = s_{j-1}, and U_j = s_j (non-simple) or s_j + s_{j-1}
 (simple), so the window (s_j, s_{j-1}) holds row j.  A window comes from
 2x2 matrix powering, by doubling in O(log j) products, and moves by a few
 steps of the recurrence: up by multiplication, down by exact division by d.
-Each morphism keeps only the rows j < 128, as two lists built whole; they
+Each morphism keeps only the rows j < 128, as lists built whole; they
 cover every n below about 2^88 and end every greedy pass.
 
 Above the list, the greedy pass (`b_weights`, and `normal_u_rep` with
-the digits) walks down in blocks of places with digits certified from
-truncated values; that machinery lives in `_blocked`, imported on the
-first n past the list, so short processes never load it.
+the digits) walks down in blocks of b places, b about 128 bits' worth and
+at least 4.  Place lo + i of a block is U_{lo+i} = u0_i s_lo + u1_i
+s_{lo-1} with small integers u0_i, u1_i, so the block's digits collapse
+to one exact update x -= X s_lo + Y s_{lo-1}, X = sum d_i u0_i and Y =
+sum d_i u1_i, and the weight sum_j d_j |phi^j(A)|_B to another (one sum
+of the digits against coefficients packed side by side gives all four);
+the window then moves down b places by one exact division by d^b.  The
+digits come from x, s_lo and s_{lo-1} cut to their top bits (x >> S and
+so on, G bits for s_lo).  The cut puts x / 2^S in [x', x' + 1) and
+U_{lo+i} / 2^S in [U' + low_i, U' + high_i], low_i and high_i the sums of
+the negative and the positive coefficients, and each digit d taken widens
+the interval of the rest by d high_i below and by -d low_i above.  A
+digit is certified when that whole interval lies in [0, U' + low_i); a
+block with an uncertified digit is redone with exact divmod.  The
+widening stays below 2^(G-64-log2 beta) units, so that happens about once
+in 2^64 places, and at inputs that sit on a place's edge, such as U_j or
+U_j - 1.
 
 Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
 d x_k.  Summed over k, that gives x_0 + ... + x_k = (x_0 + x_1 - t x_0 +
@@ -40,6 +54,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import repeat
+from operator import add, floordiv, mul, sub
 from typing import Sequence
 
 from .words import Family, Morphism
@@ -47,15 +63,20 @@ from .words import Family, Morphism
 #: Rows j below this are kept per morphism; places at or above it are
 #: reached from windows.
 _LOW_PLACES = 128
+#: Bits of n that one block of places spans, and the guard bits that the
+#: truncated values carry beyond their error bounds.
+_BLOCK_BITS = 128
+_GUARD_BITS = 64
 
 
 class _Plan:
     """A morphism's row list and recurrence.
 
-    counts holds |phi^j(A)|_A and |phi^j(A)|_B for j < _LOW_PLACES.
+    counts holds |phi^j(A)|_A and |phi^j(A)|_B for j < _LOW_PLACES, and
+    places the pairs (U_j, |phi^j(A)|_B) that the greedy pass reads.
     """
 
-    __slots__ = ("m", "counts", "trace", "det", "steps", "simple", "log2_beta")
+    __slots__ = ("m", "counts", "places", "trace", "det", "steps", "simple", "log2_beta")
 
     def __init__(self, m: Morphism):
         self.m = m
@@ -67,10 +88,30 @@ class _Plan:
             s.append(trace * s[-1] - det * s[-2])
         counts_b = s[:_LOW_PLACES]  # |phi^j(A)|_B = s_{j-1}
         self.counts = [s_j + (simple - 1) * b_j for s_j, b_j in zip(s[1:], counts_b)], counts_b
+        self.places = [(s_j + simple * b_j, b_j) for s_j, b_j in zip(s[1:], counts_b)]
         self.log2_beta = math.log2(trace) + math.log2((1 + math.sqrt(1 - 4 * det / trace ** 2)) / 2)
 
 
 _plan = lru_cache(maxsize=None)(_Plan)
+
+
+def _window(plan: _Plan, k: int) -> tuple[int, int]:
+    """(s_k, s_{k-1}) for k >= 0, by doubling from a window of the row list."""
+    if k < _LOW_PLACES:
+        counts_a, counts_b = plan.counts
+        return counts_a[k] + (1 - plan.simple) * counts_b[k], counts_b[k]
+    trace, det = plan.trace, plan.det
+    shift = k.bit_length() - 7
+    s, s1 = _window(plan, k >> shift)
+    for bit in range(shift - 1, -1, -1):
+        # s_{2j} = s_j^2 - d s_{j-1}^2, s_{2j+1} = s_j (t s_j - 2d s_{j-1})
+        # and s_{2j-1} = s_{j-1} (2 s_j - t s_{j-1})
+        even = s * s - det * (s1 * s1)
+        if k >> bit & 1:
+            s, s1 = s * (trace * s - 2 * det * s1), even
+        else:
+            s, s1 = even, s1 * (2 * s - trace * s1)
+    return s, s1
 
 
 class Rows:
@@ -80,20 +121,19 @@ class Rows:
     recurrence sums for j from top - 2 to top + 4.  Rows j < 128 come from
     the list.  The others come from one window (s_top, s_{top-1}), stepped
     at construction to s_{top-3} .. s_{top+4}, so a stage pays for one
-    window however many rows it reads.  `low` holds the list's rows for
-    places min(top, 127) down to 0.
+    window however many rows it reads.  `low` holds (U_j, |phi^j(A)|_B)
+    for the list's places min(top, 127) down to 0.
     """
 
-    __slots__ = ("top", "low", "_plan", "_counts", "_first", "_band")
+    __slots__ = ("m", "top", "low", "_plan", "_counts", "_first", "_band")
 
     def __init__(self, plan: _Plan, top: int, window: tuple[int, int] | None = None):
-        self.top, self._plan = top, plan
-        counts_a, counts_b = self._counts = plan.counts
+        self.m, self.top, self._plan = plan.m, top, plan
+        self._counts = plan.counts
         cut = min(top, _LOW_PLACES - 1)
-        self.low = counts_a[cut::-1], counts_b[cut::-1]
+        self.low = plan.places[cut::-1]
         self._first, self._band = 0, ()
         if top + 4 >= _LOW_PLACES:  # the band reaches past the list
-            from ._blocked import _window
             s_top, s_prev = window or _window(plan, top)
             band = [s_prev, s_top]
             for _ in range(4):
@@ -109,7 +149,6 @@ class Rows:
         i = j - self._first
         if 0 <= i < len(self._band):
             return self._band[i]
-        from ._blocked import _window
         return _window(self._plan, j)[0]
 
     def row(self, j: int) -> tuple[int, int]:
@@ -125,7 +164,7 @@ class Rows:
         return count_a + count_b
 
     def sum(self, weights: tuple[int, int], k: int, step: int = 1) -> int:
-        """recurrence_sum(m, weights, k, step) from these rows."""
+        """recurrence_sum(self.m, weights, k, step) from these rows."""
         if k < 0:
             return 0
         counts_a, counts_b = self._counts
@@ -164,14 +203,14 @@ def _list_top(counts_a: list[int], counts_b: list[int], n: int) -> int:
 
 def top_index(m: Morphism, n: int) -> int:
     """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     counts_a, counts_b = _plan(m).counts
-    return _list_top(counts_a, counts_b, n) if n < counts_a[-1] else _top_rows(m, n).top
+    return _list_top(counts_a, counts_b, n) if 0 <= n < counts_a[-1] else _top_rows(m, n).top
 
 
 def _top_rows(m: Morphism, n: int) -> Rows:
     """place_rows(m, top_index(m, n)), with one window for the search and the rows."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     plan = _plan(m)
     if n < plan.counts[0][-1]:
         return Rows(plan, _list_top(*plan.counts, n))
@@ -189,25 +228,21 @@ def u_value(m: Morphism, k: int) -> int:
     """U_k = |phi^k(A)|."""
     if k < 0:
         raise ValueError(f"index must be nonnegative, got {k}")
-    if k < _LOW_PLACES:
-        counts_a, counts_b = _plan(m).counts
-        return counts_a[k] + counts_b[k]
-    from ._blocked import _window
     plan = _plan(m)
+    if k < _LOW_PLACES:
+        return plan.places[k][0]
     s_k, s_prev = _window(plan, k)
     return s_k + plan.simple * s_prev
 
 
-def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1,
-                   rows: Rows | None = None) -> int:
+def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1) -> int:
     """Sum over 0 <= j <= k, j = k (mod step 1 or 2), of x_j = weights . row j.
 
     Weights (1, 1) sum U, (0, 1) sum |phi^j(A)|_B; k < 0 gives 0.  A caller
-    that holds place_rows(m, j) for some j near k passes it as rows, so a
-    stage's lookups share one window.
+    that holds place_rows(m, j) for some j near k calls its sum instead, so
+    a stage's lookups share one window.
     """
-    if rows is None:
-        rows = _list_rows(m) if k + step < _LOW_PLACES else place_rows(m, k)
+    rows = _list_rows(m) if k + step < _LOW_PLACES else place_rows(m, k)
     return rows.sum(weights, k, step)
 
 
@@ -221,10 +256,8 @@ def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     """
     weight_x = weight_y = 0
     if rows.top >= _LOW_PLACES:
-        from ._blocked import _descend
         (x, y), (weight_x, weight_y) = _descend(rows, (x, y))
-    for count_a, count_b in zip(*rows.low):
-        u = count_a + count_b
+    for u, count_b in rows.low:
         if x >= u:
             digit, x = divmod(x, u)
             weight_x += digit * count_b
@@ -248,10 +281,9 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     digits = [0] * ((min_places or 0) - 1 - rows.top)
     rest = n
     if rows.top >= _LOW_PLACES:
-        from ._blocked import _descend
         (rest,), _ = _descend(rows, (n,), digits)
-    for count_a, count_b in zip(*rows.low):
-        d, rest = divmod(rest, count_a + count_b)
+    for u, _ in rows.low:
+        d, rest = divmod(rest, u)
         digits.append(d)
     return tuple(digits)
 
@@ -265,11 +297,10 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     top = len(digits) - 1
     total = 0
     if top >= _LOW_PLACES:
-        from ._blocked import _upper_value
         total = _upper_value(place_rows(m, top), digits)
         digits = digits[top - _LOW_PLACES + 1:]
-    counts_a, counts_b = _plan(m).counts
-    return total + sum(d * (counts_a[j] + counts_b[j]) for j, d in enumerate(reversed(digits)))
+    places = _plan(m).places
+    return total + sum(d * places[j][0] for j, d in enumerate(reversed(digits)))
 
 
 def prefix_decomposition(m: Morphism, n: int) -> tuple[tuple[int, int], ...]:
@@ -296,3 +327,136 @@ def prefix_b_count(m: Morphism, n: int) -> int:
     collapses to sum_{j>=1} d_j U_{j-1}; the tests check both forms agree.
     """
     return b_weights(_top_rows(m, n), n)[0]
+
+
+# --- the blocked pass above the row list ---------------------------------------
+
+class _BlockPlan:
+    """The small coefficients of one block of places, for the pass above the list.
+
+    Built when a pass first reaches place _LOW_PLACES.  p_coef and q_coef
+    hold P_i and Q_i, with s_{lo+i} = P_i s_lo + Q_i s_{lo-1}, at index
+    i + 1; the columns u0, u1 and packed hold offsets width - 1 down to 0,
+    top first.
+    """
+
+    __slots__ = ("det", "width", "precision", "p_coef", "q_coef", "u0", "u1", "field", "packed")
+
+    def __init__(self, m: Morphism):
+        plan = _plan(m)
+        trace, det, simple = plan.trace, plan.det, plan.simple
+        # wide places still take a few per block, to share each window step
+        width = max(4, int(_BLOCK_BITS / plan.log2_beta))
+        p_coef, q_coef = [0, 1], [1, 0]  # i = -1, 0
+        for _ in range(width):
+            p_coef.append(trace * p_coef[-1] - det * p_coef[-2])
+            q_coef.append(trace * q_coef[-1] - det * q_coef[-2])
+        top_first = range(width, 0, -1)  # i + 1 for i = width - 1 .. 0
+        u0 = tuple(p_coef[i] + simple * p_coef[i - 1] for i in top_first)
+        u1 = tuple(q_coef[i] + simple * q_coef[i - 1] for i in top_first)
+        # u0 >= 0, and u1 >= 0 (simple) or <= 0 (non-simple): the pass relies on it
+        assert min(u0) >= 0 and (min(u1) >= 0 if simple else max(u1) <= 0), m
+        # the bound on a block's error, and room for rests as small as U_lo / beta,
+        # which digit strings near Parry's quasi-greedy one leave at every place
+        spread = 1 + m.p * sum(u0) + m.p * sum(map(abs, u1))
+        # |phi^j(A)|_B = s_{j-1} has coefficients P_{i-1} and Q_{i-1}, no larger
+        # than u0 and |u1|, and Q_{i-1} has u1's sign but at i = 0 (Q_{-1} = 1),
+        # which the pass adds apart in the non-simple family.  A block's digits
+        # are at most p + 1, even from truncated values below U_{top+1}, so with
+        # fields of 2 spread one sum of the digits times `packed` gives all
+        # four of a block's sums without carries between them.
+        field = (2 * spread).bit_length()
+        self.packed = tuple(a + (abs(b) << field) + (p_coef[i - 1] << 2 * field)
+                            + ((abs(q_coef[i - 1]) if simple or i > 1 else 0) << 3 * field)
+                            for a, b, i in zip(u0, u1, top_first))
+        self.det, self.width, self.field, self.u0, self.u1 = det, width, field, u0, u1
+        self.precision = spread.bit_length() + math.ceil(plan.log2_beta) + _GUARD_BITS  # G
+        self.p_coef, self.q_coef = tuple(p_coef), tuple(q_coef)
+
+
+_block_plan = lru_cache(maxsize=None)(_BlockPlan)
+
+
+def _step_down(plan: _BlockPlan, s0: int, s1: int, places: int) -> tuple[int, int]:
+    """The window `places` (<= width) below (s0, s1), by one exact division by d^places."""
+    p_up, p_at = plan.p_coef[places + 1], plan.p_coef[places]
+    q_up, q_at = plan.q_coef[places + 1], plan.q_coef[places]
+    divisor = plan.det ** places
+    return (q_at * s0 - q_up * s1) // divisor, (p_up * s1 - p_at * s0) // divisor
+
+
+def _blocks(rows: Rows):
+    """(lo, span, s_lo, s_{lo-1}) for the blocks of places rows.top .. _LOW_PLACES, top first.
+
+    Blocks are aligned on _LOW_PLACES, so the first may span fewer places.
+    """
+    plan = _block_plan(rows._plan.m)
+    lo = _LOW_PLACES + (rows.top - _LOW_PLACES) // plan.width * plan.width
+    s0, s1 = _step_down(plan, rows.s(rows.top), rows.s(rows.top - 1), rows.top - lo)
+    span = rows.top - lo + 1
+    while True:
+        yield lo, span, s0, s1
+        if lo == _LOW_PLACES:
+            return
+        s0, s1 = _step_down(plan, s0, s1, plan.width)
+        lo, span = lo - plan.width, plan.width
+
+
+def _descend(rows: Rows, values: Sequence[int],
+             digits: list[int] | None = None) -> tuple[list[int], list[int]]:
+    """The greedy pass over places rows.top .. _LOW_PLACES for each value.
+
+    Returns each value's rest, now below U_{_LOW_PLACES}, and its
+    sum_j d_j |phi^j(A)|_B over those places.  With `digits` (one value),
+    the digits are appended to it, top first.
+    """
+    plan = _block_plan(rows._plan.m)
+    simple, field = rows._plan.simple, plan.field
+    sign, mask = 2 * simple - 1, (1 << field) - 1  # the sign of u1
+    rests, weights = list(values), [0] * len(values)
+    for lo, span, s0, s1 in _blocks(rows):
+        cut = plan.width - span
+        u0, u1, packed = plan.u0[cut:], plan.u1[cut:], plan.packed[cut:]
+        shift = max(s0.bit_length() - plan.precision, 0)
+        # U_j / 2^S lies in [unit + low, unit + high], where low is the sum of
+        # the negative coefficients and high that of the positive ones: u1 in
+        # the non-simple family, none in the simple one
+        units = list(map(add, map(mul, u0, repeat(s0 >> shift)), map(mul, u1, repeat(s1 >> shift))))
+        edges = units if simple or not shift else list(map(add, units, u1))
+        for v, rest in enumerate(rests):
+            proxy = head = rest >> shift
+            remainders = [proxy := proxy % unit for unit in units]
+            block = list(map(floordiv, [head, *remainders[:-1]], units))
+            fields = sum(map(mul, block, packed))
+            x, y = fields & mask, sign * (fields >> field & mask)
+            # the rest over 2^S lies in [proxy, proxy + 1), and the digits
+            # widen that by sum d high below and by -sum d low above; a digit
+            # is certain when its widened rest lies in [0, unit + low), and
+            # unit + low <= U_j / 2^S
+            below, above = (x + simple * y, -(1 - simple) * y) if shift else (0, 0)
+            if min(remainders) >= below and max(map(sub, remainders, edges)) + above < 0:
+                rest -= x * s0 + y * s1
+            else:
+                # a rest too near a place's edge: this block by exact division
+                block = []
+                for a, b in zip(u0, u1):
+                    digit, rest = divmod(rest, a * s0 + b * s1)
+                    block.append(digit)
+                fields = sum(map(mul, block, packed))
+            rests[v] = rest
+            weights[v] += ((fields >> 2 * field & mask) * s0
+                           + (sign * (fields >> 3 * field) + (1 - simple) * block[-1]) * s1)
+            if digits is not None:
+                digits += block
+    return rests, weights
+
+
+def _upper_value(rows: Rows, digits: Sequence[int]) -> int:
+    """sum d_j U_j over the places rows.top .. _LOW_PLACES of a top-first digit string."""
+    plan = _block_plan(rows._plan.m)
+    total = 0
+    for lo, span, s0, s1 in _blocks(rows):
+        cut = plan.width - span
+        block = digits[rows.top - lo - span + 1:rows.top - lo + 1]
+        total += sum(map(mul, block, plan.u0[cut:])) * s0 + sum(map(mul, block, plan.u1[cut:])) * s1
+    return total

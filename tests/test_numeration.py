@@ -23,8 +23,7 @@ from parryac import (
     u_rep_value,
     u_value,
 )
-from parryac._blocked import _block_plan, _blocks
-from parryac.numeration import _plan, b_weights, place_rows, top_index
+from parryac.numeration import _block_plan, _blocks, _plan, b_weights, place_rows, top_index
 from parryac.words import apply
 
 from conftest import (
@@ -218,6 +217,15 @@ def test_top_index(nonsimple31):
     for n, top in ((0, 0), (3, 0), (4, 1), (163, 3), (164, 4)):
         assert top_index(nonsimple31, n) == top
         assert len(normal_u_rep(nonsimple31, n)) - 1 == top
+
+
+@pytest.mark.parametrize("m", BASELINE, ids=str)
+@pytest.mark.parametrize("n", [-1, -5, -10 ** 40])
+def test_negative_n_is_rejected(m, n):
+    # below and far past the row list's reach alike
+    for function in (top_index, normal_u_rep, prefix_b_count, prefix_decomposition):
+        with pytest.raises(ValueError, match=f"n must be nonnegative, got {n}"):
+            function(m, n)
 
 
 def test_no_numeration_structure_grows_with_n():
