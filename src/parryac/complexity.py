@@ -97,7 +97,7 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
     integer arithmetic.
 
     Within U_J <= n < U_{J+1}, (M, N) takes one of two values on either
-    side of a threshold (split_stage_simple).  Each side's stage lengths
+    side of a threshold (extremal._split_stage).  Each side's stage lengths
     and constant term are computed once; per n there remain the
     stage-bracket check and the two digit passes.
     """
@@ -107,7 +107,7 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
         rows = place_rows(m, j_idx)
         stage_last = min(stop, rows.u(j_idx + 1) - 1)
         stage_length = partial(_wv_stage_length, rows)
-        threshold, below, above = _split_stage(j_idx, stage_length)
+        threshold, below, above = _split_stage(rows)
         for (m_stage, n_stage), last in ((below, min(stage_last, threshold - 1)),
                                          (above, stage_last)):
             if n > last:

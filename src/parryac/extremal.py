@@ -13,9 +13,8 @@ logarithmic-time complexity formulas possible.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
 
-from .numeration import Rows, prefix_b_count, recurrence_sum, top_index, u_value
+from .numeration import Rows, _top_rows, place_rows, prefix_b_count, top_index
 from .words import (
     B,
     Family,
@@ -35,7 +34,6 @@ __all__ = [
     "w_b_count_nonsimple",
     "wv_prefix_simple",
     "wv_stage_length_simple",
-    "split_stage_simple",
     "choose_mn_simple",
     "v_b_count_simple",
     "w_b_count_simple",
@@ -70,7 +68,7 @@ def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
     _require_family(m, Family.NONSIMPLE, "w_stage_length_nonsimple")
     if stage < 0:
         raise ValueError(f"stage must be nonnegative, got {stage}")
-    return recurrence_sum(m, (1, m.q + 1 - m.p), stage)
+    return _w_stage_length(place_rows(m, stage), stage)
 
 
 def _w_stage_length(rows: Rows, stage: int) -> int:
@@ -107,10 +105,10 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
         raise ValueError(f"n must be positive, got {n}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if n > w_stage_length_nonsimple(m, k):
-        raise IndexError(
-            f"n={n} exceeds |w^({k})|={w_stage_length_nonsimple(m, k)}; pick a larger k")
-    return u_value(m, k) - prefix_b_count(m, u_value(m, k + 1) - n)
+    rows = place_rows(m, k)
+    if n > _w_stage_length(rows, k):
+        raise IndexError(f"n={n} exceeds |w^({k})|={_w_stage_length(rows, k)}; pick a larger k")
+    return rows.u(k) - prefix_b_count(m, rows.u(k + 1) - n)
 
 
 # --- simple family (q > 1) ----------------------------------------------------
@@ -139,11 +137,15 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     """
     _check_which(which)
     _require_simple_extremal(m, "wv_stage_length_simple")
+    return _wv_stage_length(_stage_rows(m, which, stage), which, stage)
+
+
+def _stage_rows(m: Morphism, which: str, stage: int) -> Rows:
+    """Rows for the stage lengths and sums of v or w near `stage`, once it is checked."""
     first = -1 if which == V else 0
     if stage < first:
         raise ValueError(f"{which} stages start at {first}, got {stage}")
-    top = 2 * stage if which == V else 2 * stage - 1
-    return 1 + (m.q - 1) * recurrence_sum(m, (1, 1), top, 2)
+    return place_rows(m, max(2 * stage, 0))
 
 
 def _wv_stage_length(rows: Rows, which: str, stage: int) -> int:
@@ -152,8 +154,8 @@ def _wv_stage_length(rows: Rows, which: str, stage: int) -> int:
     return 1 + (rows.m.q - 1) * rows.sum((1, 1), top, 2)
 
 
-def split_stage_simple(m: Morphism, j_idx: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """How the n with U_J <= n < U_{J+1} choose their stages (M, N).
+def _split_stage(rows: Rows) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """How the n with U_J <= n < U_{J+1}, J = rows.top, choose their stages (M, N).
 
     Returns (threshold, below, above): n < threshold takes (M, N) = below
     and n >= threshold takes above.  For even J, N = J/2 and the threshold
@@ -161,35 +163,45 @@ def split_stage_simple(m: Morphism, j_idx: int) -> tuple[int, tuple[int, int], t
     M = (J-1)/2 and the threshold is |w^((J+1)/2)|, with N = (J-1)/2 below
     it and (J+1)/2 above.
     """
-    return _split_stage(j_idx, partial(wv_stage_length_simple, m))
-
-
-def _split_stage(j_idx: int, stage_length: Callable[[str, int], int]
-                 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """split_stage_simple, with stage lengths from stage_length(which, stage)."""
-    half = j_idx // 2
-    if j_idx % 2 == 0:
-        return stage_length(V, half), (half - 1, half), (half, half)
-    return stage_length(W, half + 1), (half, half), (half, half + 1)
+    half = rows.top // 2
+    if rows.top % 2 == 0:
+        return _wv_stage_length(rows, V, half), (half - 1, half), (half, half)
+    return _wv_stage_length(rows, W, half + 1), (half, half), (half, half + 1)
 
 
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     """Stage indices (M, N, J) for a prefix length n >= 1.
 
-    J satisfies U_J <= n < U_{J+1}, and (M, N) comes from
-    split_stage_simple.  The result brackets n by stages:
-    |w^(N)| <= n < |w^(N+1)| and |v^(M)| <= n < |v^(M+1)|, where |v^(-1)|
-    is taken to be 1.
+    J satisfies U_J <= n < U_{J+1}, and (M, N) comes from the split of
+    J's n at one stage length (_split_stage).  The result brackets n by
+    stages: |w^(N)| <= n < |w^(N+1)| and |v^(M)| <= n < |v^(M+1)|, where
+    |v^(-1)| is taken to be 1.
     """
     _require_simple_extremal(m, "choose_mn_simple")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    j_idx = top_index(m, n)
-    threshold, below, above = split_stage_simple(m, j_idx)
+    rows = _top_rows(m, n)
+    stage_length = partial(_wv_stage_length, rows)
+    threshold, below, above = _split_stage(rows)
     m_stage, n_stage = above if threshold <= n else below
-    assert wv_stage_length_simple(m, W, n_stage) <= n < wv_stage_length_simple(m, W, n_stage + 1)
-    assert wv_stage_length_simple(m, V, m_stage) <= n < wv_stage_length_simple(m, V, m_stage + 1)
-    return m_stage, n_stage, j_idx
+    assert stage_length(W, n_stage) <= n < stage_length(W, n_stage + 1)
+    assert stage_length(V, m_stage) <= n < stage_length(V, m_stage + 1)
+    return m_stage, n_stage, rows.top
+
+
+def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> int:
+    """v_b_count_simple or w_b_count_simple, by `which`, with their checks."""
+    _require_simple_extremal(m, operation)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    rows = _stage_rows(m, which, stage)
+    low = _wv_stage_length(rows, which, stage)
+    high = _wv_stage_length(rows, which, stage + 1)
+    if not low <= n < high:
+        raise ValueError(f"stage mismatch: need |{which}^({stage})|={low} <= n < "
+                         f"|{which}^({stage + 1})|={high}, got n={n}")
+    top = 2 * stage if which == V else 2 * stage - 1
+    return (which == W) + (m.q - 1) * rows.sum((0, 1), top, 2) + prefix_b_count(m, n - low)
 
 
 def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:
@@ -199,16 +211,7 @@ def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:
     (d_k, ..., d_0) the greedy digits of n - |v^(stage)|, the count is
     (q-1) sum_{i=0..stage} |phi^{2i}(A)|_B + sum_i d_i |phi^i(A)|_B.
     """
-    _require_simple_extremal(m, "v_b_count_simple")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    low = wv_stage_length_simple(m, V, stage)
-    high = wv_stage_length_simple(m, V, stage + 1)
-    if not low <= n < high:
-        raise ValueError(
-            f"stage mismatch: need |v^({stage})|={low} <= n < |v^({stage + 1})|={high}, got n={n}")
-    fixed = (m.q - 1) * recurrence_sum(m, (0, 1), 2 * stage, 2)
-    return fixed + prefix_b_count(m, n - low)
+    return _wv_b_count(m, V, n, stage, "v_b_count_simple")
 
 
 def w_b_count_simple(m: Morphism, n: int, stage: int) -> int:
@@ -218,13 +221,4 @@ def w_b_count_simple(m: Morphism, n: int, stage: int) -> int:
     greedy digits of n - |w^(stage)|, the count is
     1 + (q-1) sum_{i=0..stage-1} |phi^{2i+1}(A)|_B + sum_i c_i |phi^i(A)|_B.
     """
-    _require_simple_extremal(m, "w_b_count_simple")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    low = wv_stage_length_simple(m, W, stage)
-    high = wv_stage_length_simple(m, W, stage + 1)
-    if not low <= n < high:
-        raise ValueError(
-            f"stage mismatch: need |w^({stage})|={low} <= n < |w^({stage + 1})|={high}, got n={n}")
-    fixed = (m.q - 1) * recurrence_sum(m, (0, 1), 2 * stage - 1, 2)
-    return 1 + fixed + prefix_b_count(m, n - low)
+    return _wv_b_count(m, W, n, stage, "w_b_count_simple")

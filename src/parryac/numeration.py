@@ -12,10 +12,10 @@ determinant of M (p + 1 and p - q in the non-simple family, p and -q in
 the simple one), let s_{-1} = 0, s_0 = 1 and s_{j+1} = t s_j - d s_{j-1}.
 Then |phi^j(A)|_B = s_{j-1}, and U_j = s_j (non-simple) or s_j + s_{j-1}
 (simple), so the window (s_j, s_{j-1}) holds row j.  A window comes from
-2x2 matrix powering, by doubling in O(log j) products, and moves by a few
-steps of the recurrence: up by multiplication, down by exact division by d.
-Each morphism keeps only the rows j < 128, as lists built whole; they
-cover every n below about 2^88 and end every greedy pass.
+2x2 matrix powering, by doubling in O(log j) products, and moves up i
+places as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1} and down i places by one
+exact division by d^i.  Each morphism keeps one plan, built whole, with
+the rows j < 128: they cover every n below about 2^88 and end every pass.
 
 Above the list, the greedy pass (`b_weights`, and `normal_u_rep` with
 the digits) walks down in blocks of b places, b about 128 bits' worth and
@@ -55,7 +55,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import repeat
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, itemgetter, mul, sub
 from typing import Sequence
 
 from .words import Family, Morphism
@@ -70,36 +70,60 @@ _GUARD_BITS = 64
 
 
 class _Plan:
-    """A morphism's row list and recurrence.
+    """One morphism's recurrence, its rows j < 128 and its block of places.
 
-    counts holds |phi^j(A)|_A and |phi^j(A)|_B for j < _LOW_PLACES, and
-    places the pairs (U_j, |phi^j(A)|_B) that the greedy pass reads.
+    s holds s_{-1}, s_0, ... and q_coef Q_{-1} = 1, Q_i = -d s_{i-1}, at
+    index i + 1, for the rows j < 128 and for one block: a window (s_k,
+    s_{k-1}) gives s_{k+i} = s_i s_k + Q_i s_{k-1}.  places holds (U_j,
+    |phi^j(A)|_B) for j < 128.  The block columns u0, u1 and packed hold
+    offsets width - 1 down to 0, top first.
     """
 
-    __slots__ = ("m", "counts", "places", "trace", "det", "steps", "simple", "log2_beta")
+    __slots__ = ("m", "simple", "trace", "det", "steps", "log2_beta", "s", "q_coef", "places",
+                 "width", "precision", "u0", "u1", "field", "packed")
 
     def __init__(self, m: Morphism):
         self.m = m
         self.simple = simple = 1 if m.family is Family.SIMPLE else 0  # U_j = s_j + simple s_{j-1}
         self.trace, self.det = trace, det = m.p + 1 - simple, m.p - m.q if not simple else -m.q
         self.steps = (trace, det), (trace * trace - 2 * det, det * det)  # of M and of M^2
-        s = [0, 1]  # s_{-1}, s_0, ..., s_127
-        while len(s) <= _LOW_PLACES:
-            s.append(trace * s[-1] - det * s[-2])
-        counts_b = s[:_LOW_PLACES]  # |phi^j(A)|_B = s_{j-1}
-        self.counts = [s_j + (simple - 1) * b_j for s_j, b_j in zip(s[1:], counts_b)], counts_b
-        self.places = [(s_j + simple * b_j, b_j) for s_j, b_j in zip(s[1:], counts_b)]
         self.log2_beta = math.log2(trace) + math.log2((1 + math.sqrt(1 - 4 * det / trace ** 2)) / 2)
+        # wide places still take a few per block, to share each window step
+        self.width = width = max(4, int(_BLOCK_BITS / self.log2_beta))
+        s = [0, 1]  # s_{-1}, s_0, ...
+        while len(s) < max(_LOW_PLACES, width) + 2:
+            s.append(trace * s[-1] - det * s[-2])
+        q_coef = [1, *(-det * s_i for s_i in s[:-1])]  # Q_{-1}, Q_0, ...
+        self.s, self.q_coef = s, q_coef
+        self.places = [(s[j + 1] + simple * s[j], s[j]) for j in range(_LOW_PLACES)]
+        top_first = range(width, 0, -1)  # i + 1 for i = width - 1 .. 0
+        self.u0 = u0 = tuple(s[i] + simple * s[i - 1] for i in top_first)
+        self.u1 = u1 = tuple(q_coef[i] + simple * q_coef[i - 1] for i in top_first)
+        # u0 >= 0, and u1 >= 0 (simple) or <= 0 (non-simple): the pass relies on it
+        assert min(u0) >= 0 and (min(u1) >= 0 if simple else max(u1) <= 0), m
+        # the bound on a block's error, and room for rests as small as U_lo / beta,
+        # which digit strings near Parry's quasi-greedy one leave at every place
+        spread = 1 + m.p * sum(u0) + m.p * sum(map(abs, u1))
+        # |phi^j(A)|_B = s_{j-1} has coefficients s_{i-1} and Q_{i-1}, no larger
+        # than u0 and |u1|, and Q_{i-1} has u1's sign but at i = 0 (Q_{-1} = 1),
+        # which the pass adds apart in the non-simple family.  A block's digits
+        # are at most p + 1, even from truncated values below U_{top+1}, so with
+        # fields of 2 spread one sum of the digits times `packed` gives all
+        # four of a block's sums without carries between them.
+        self.field = field = (2 * spread).bit_length()
+        self.packed = tuple(a + (abs(b) << field) + (s[i - 1] << 2 * field)
+                            + ((abs(q_coef[i - 1]) if simple or i > 1 else 0) << 3 * field)
+                            for a, b, i in zip(u0, u1, top_first))
+        self.precision = spread.bit_length() + math.ceil(self.log2_beta) + _GUARD_BITS  # G
 
 
 _plan = lru_cache(maxsize=None)(_Plan)
 
 
 def _window(plan: _Plan, k: int) -> tuple[int, int]:
-    """(s_k, s_{k-1}) for k >= 0, by doubling from a window of the row list."""
-    if k < _LOW_PLACES:
-        counts_a, counts_b = plan.counts
-        return counts_a[k] + (1 - plan.simple) * counts_b[k], counts_b[k]
+    """(s_k, s_{k-1}) for k >= 0, by doubling from a window of the s list."""
+    if k + 1 < len(plan.s):
+        return plan.s[k + 1], plan.s[k]
     trace, det = plan.trace, plan.det
     shift = k.bit_length() - 7
     s, s1 = _window(plan, k >> shift)
@@ -114,69 +138,78 @@ def _window(plan: _Plan, k: int) -> tuple[int, int]:
     return s, s1
 
 
+def _step_down(plan: _Plan, s0: int, s1: int, places: int) -> tuple[int, int]:
+    """The window `places` (<= width) below (s0, s1), by one exact division by d^places."""
+    s, q_coef = plan.s, plan.q_coef
+    divisor = plan.det ** places
+    return ((q_coef[places] * s0 - q_coef[places + 1] * s1) // divisor,
+            (s[places + 1] * s1 - s[places] * s0) // divisor)
+
+
 class Rows:
-    """The rows (1, 0) M^j of one morphism at and near place `top`.
+    """The rows (1, 0) M^j of one morphism, read from one window at place `top`.
 
     The greedy pass reads places top down to 0; a stage reads U_j and
-    recurrence sums for j from top - 2 to top + 4.  Rows j < 128 come from
-    the list.  The others come from one window (s_top, s_{top-1}), stepped
-    at construction to s_{top-3} .. s_{top+4}, so a stage pays for one
-    window however many rows it reads.  `low` holds (U_j, |phi^j(A)|_B)
-    for the list's places min(top, 127) down to 0.
+    sums for j from top - 2 to top + 4.  Rows j < 128 come from the plan,
+    the others from the window (s_top, s_{top-1}): rows above it as
+    s_{top+i} = s_i s_top + Q_i s_{top-1}, rows up to a block below it by
+    one _step_down, so a stage pays for one window however many rows it
+    reads.  `low` holds (U_j, |phi^j(A)|_B) for the list's places
+    min(top, 127) down to 0.
     """
 
-    __slots__ = ("m", "top", "low", "_plan", "_counts", "_first", "_band")
+    __slots__ = ("m", "top", "low", "_plan", "_s_top", "_s_prev")
 
     def __init__(self, plan: _Plan, top: int, window: tuple[int, int] | None = None):
         self.m, self.top, self._plan = plan.m, top, plan
-        self._counts = plan.counts
-        cut = min(top, _LOW_PLACES - 1)
-        self.low = plan.places[cut::-1]
-        self._first, self._band = 0, ()
-        if top + 4 >= _LOW_PLACES:  # the band reaches past the list
-            s_top, s_prev = window or _window(plan, top)
-            band = [s_prev, s_top]
-            for _ in range(4):
-                band.append(plan.trace * band[-1] - plan.det * band[-2])
-            for _ in range(min(top, 2)):
-                band.insert(0, (plan.trace * band[0] - band[1]) // plan.det)
-            self._first, self._band = top - 1 - min(top, 2), band
+        self.low = plan.places[min(top, _LOW_PLACES - 1)::-1]
+        self._s_top, self._s_prev = window or _window(plan, top)
 
-    def s(self, j: int) -> int:
-        """s_j, for j >= -1."""
-        if j < _LOW_PLACES - 1:
-            return self._counts[1][j + 1]
-        i = j - self._first
-        if 0 <= i < len(self._band):
-            return self._band[i]
-        return _window(self._plan, j)[0]
+    def window(self, j: int) -> tuple[int, int]:
+        """(s_j, s_{j-1}), for j >= 0."""
+        plan = self._plan
+        i = j - self.top
+        if i >= 0:
+            s, q_coef, s_top, s_prev = plan.s, plan.q_coef, self._s_top, self._s_prev
+            return s[i + 1] * s_top + q_coef[i + 1] * s_prev, s[i] * s_top + q_coef[i] * s_prev
+        if i >= -plan.width:
+            return _step_down(plan, self._s_top, self._s_prev, -i)
+        return _window(plan, j)  # far below the window: only an explicit k reads these
 
-    def row(self, j: int) -> tuple[int, int]:
-        """(|phi^j(A)|_A, |phi^j(A)|_B)."""
+    def place(self, j: int) -> tuple[int, int]:
+        """(U_j, |phi^j(A)|_B)."""
         if j < _LOW_PLACES:
-            return self._counts[0][j], self._counts[1][j]
-        s_prev = self.s(j - 1)
-        return self.s(j) + (self._plan.simple - 1) * s_prev, s_prev
+            return self._plan.places[j]
+        s_j, s_prev = self.window(j)
+        return s_j + self._plan.simple * s_prev, s_prev
 
     def u(self, j: int) -> int:
         """U_j."""
-        count_a, count_b = self.row(j)
-        return count_a + count_b
+        return self.place(j)[0]
 
     def sum(self, weights: tuple[int, int], k: int, step: int = 1) -> int:
-        """recurrence_sum(self.m, weights, k, step) from these rows."""
+        """Sum over 0 <= j <= k, j = k (mod step 1 or 2), of x_j = weights . row j.
+
+        Weights (1, 1) sum U, (0, 1) sum |phi^j(A)|_B; k < 0 gives 0.  The
+        rows read are k and k + step, so take rows with top near k.
+        """
         if k < 0:
             return 0
-        counts_a, counts_b = self._counts
+        places = self._plan.places
+        # below place 128 the pairs are read in place: this runs once or
+        # more per n on the prefix-difference route
         if k + step < _LOW_PLACES:
-            ak, bk, ak1, bk1 = counts_a[k], counts_b[k], counts_a[k + step], counts_b[k + step]
+            (u_k, b_k), (u_k1, b_k1) = places[k], places[k + step]
         else:
-            (ak, bk), (ak1, bk1) = self.row(k), self.row(k + step)
+            (u_k, b_k), (u_k1, b_k1) = self.place(k), self.place(k + step)
+        # x_j = wa |phi^j(A)|_A + wb |phi^j(A)|_B = wa U_j + wb' |phi^j(A)|_B
         wa, wb = weights
+        wb -= wa
         r = k % step
-        x0, x1 = wa * counts_a[r] + wb * counts_b[r], wa * counts_a[r + step] + wb * counts_b[r + step]
+        (u_r, b_r), (u_r1, b_r1) = places[r], places[r + step]
+        x0, x1 = wa * u_r + wb * b_r, wa * u_r1 + wb * b_r1
         trace, det = self._plan.steps[step - 1]
-        return (x0 + x1 - trace * x0 + det * (wa * ak + wb * bk) - wa * ak1 - wb * bk1) // (1 - trace + det)
+        return (x0 + x1 - trace * x0 + det * (wa * u_k + wb * b_k) - wa * u_k1 - wb * b_k1) // (1 - trace + det)
 
 
 def place_rows(m: Morphism, top: int) -> Rows:
@@ -188,23 +221,15 @@ def place_rows(m: Morphism, top: int) -> Rows:
     return Rows(_plan(m), top)
 
 
-@lru_cache(maxsize=None)
-def _list_rows(m: Morphism) -> Rows:
-    """Rows at place 0: the list alone, for lookups below place 128."""
-    return Rows(_plan(m), 0)
-
-
-def _list_top(counts_a: list[int], counts_b: list[int], n: int) -> int:
-    # |phi^j(A)|_A <= U_j <= |phi^{j+1}(A)|_A, so with j the last index where
-    # |phi^j(A)|_A <= n, N is j or j - 1 (and 0 for n = 0, where j = -1)
-    j = bisect_right(counts_a, n) - 1
-    return max(j - (counts_a[j] + counts_b[j] > n), 0)
+def _list_top(places: list[tuple[int, int]], n: int) -> int:
+    # the last j with U_j <= n, and 0 for n = 0
+    return max(bisect_right(places, n, key=itemgetter(0)) - 1, 0)
 
 
 def top_index(m: Morphism, n: int) -> int:
     """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
-    counts_a, counts_b = _plan(m).counts
-    return _list_top(counts_a, counts_b, n) if 0 <= n < counts_a[-1] else _top_rows(m, n).top
+    places = _plan(m).places
+    return _list_top(places, n) if 0 <= n < places[-1][0] else _top_rows(m, n).top
 
 
 def _top_rows(m: Morphism, n: int) -> Rows:
@@ -212,8 +237,8 @@ def _top_rows(m: Morphism, n: int) -> Rows:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     plan = _plan(m)
-    if n < plan.counts[0][-1]:
-        return Rows(plan, _list_top(*plan.counts, n))
+    if n < plan.places[-1][0]:
+        return Rows(plan, _list_top(plan.places, n))
     # U_j is within a small factor of beta^j, so the estimate is off by a place or two
     top = int((n.bit_length() - 1) / plan.log2_beta)
     rows = Rows(plan, top)
@@ -221,29 +246,14 @@ def _top_rows(m: Morphism, n: int) -> Rows:
         top -= 1
     while rows.u(top + 1) <= n:
         top += 1
-    return rows if top == rows.top else Rows(plan, top, (rows.s(top), rows.s(top - 1)))
+    return rows if top == rows.top else Rows(plan, top, rows.window(top))
 
 
 def u_value(m: Morphism, k: int) -> int:
     """U_k = |phi^k(A)|."""
     if k < 0:
         raise ValueError(f"index must be nonnegative, got {k}")
-    plan = _plan(m)
-    if k < _LOW_PLACES:
-        return plan.places[k][0]
-    s_k, s_prev = _window(plan, k)
-    return s_k + plan.simple * s_prev
-
-
-def recurrence_sum(m: Morphism, weights: tuple[int, int], k: int, step: int = 1) -> int:
-    """Sum over 0 <= j <= k, j = k (mod step 1 or 2), of x_j = weights . row j.
-
-    Weights (1, 1) sum U, (0, 1) sum |phi^j(A)|_B; k < 0 gives 0.  A caller
-    that holds place_rows(m, j) for some j near k calls its sum instead, so
-    a stage's lookups share one window.
-    """
-    rows = _list_rows(m) if k + step < _LOW_PLACES else place_rows(m, k)
-    return rows.sum(weights, k, step)
+    return place_rows(m, k).u(k)
 
 
 def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
@@ -310,8 +320,6 @@ def prefix_decomposition(m: Morphism, n: int) -> tuple[tuple[int, int], ...]:
     (phi^N(A))^{d_N} (phi^{N-1}(A))^{d_{N-1}} ... A^{d_0} equals the
     prefix.  Zero exponents are retained; n = 0 gives the empty tuple.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return ()
     digits = normal_u_rep(m, n)
@@ -331,68 +339,14 @@ def prefix_b_count(m: Morphism, n: int) -> int:
 
 # --- the blocked pass above the row list ---------------------------------------
 
-class _BlockPlan:
-    """The small coefficients of one block of places, for the pass above the list.
-
-    Built when a pass first reaches place _LOW_PLACES.  p_coef and q_coef
-    hold P_i and Q_i, with s_{lo+i} = P_i s_lo + Q_i s_{lo-1}, at index
-    i + 1; the columns u0, u1 and packed hold offsets width - 1 down to 0,
-    top first.
-    """
-
-    __slots__ = ("det", "width", "precision", "p_coef", "q_coef", "u0", "u1", "field", "packed")
-
-    def __init__(self, m: Morphism):
-        plan = _plan(m)
-        trace, det, simple = plan.trace, plan.det, plan.simple
-        # wide places still take a few per block, to share each window step
-        width = max(4, int(_BLOCK_BITS / plan.log2_beta))
-        p_coef, q_coef = [0, 1], [1, 0]  # i = -1, 0
-        for _ in range(width):
-            p_coef.append(trace * p_coef[-1] - det * p_coef[-2])
-            q_coef.append(trace * q_coef[-1] - det * q_coef[-2])
-        top_first = range(width, 0, -1)  # i + 1 for i = width - 1 .. 0
-        u0 = tuple(p_coef[i] + simple * p_coef[i - 1] for i in top_first)
-        u1 = tuple(q_coef[i] + simple * q_coef[i - 1] for i in top_first)
-        # u0 >= 0, and u1 >= 0 (simple) or <= 0 (non-simple): the pass relies on it
-        assert min(u0) >= 0 and (min(u1) >= 0 if simple else max(u1) <= 0), m
-        # the bound on a block's error, and room for rests as small as U_lo / beta,
-        # which digit strings near Parry's quasi-greedy one leave at every place
-        spread = 1 + m.p * sum(u0) + m.p * sum(map(abs, u1))
-        # |phi^j(A)|_B = s_{j-1} has coefficients P_{i-1} and Q_{i-1}, no larger
-        # than u0 and |u1|, and Q_{i-1} has u1's sign but at i = 0 (Q_{-1} = 1),
-        # which the pass adds apart in the non-simple family.  A block's digits
-        # are at most p + 1, even from truncated values below U_{top+1}, so with
-        # fields of 2 spread one sum of the digits times `packed` gives all
-        # four of a block's sums without carries between them.
-        field = (2 * spread).bit_length()
-        self.packed = tuple(a + (abs(b) << field) + (p_coef[i - 1] << 2 * field)
-                            + ((abs(q_coef[i - 1]) if simple or i > 1 else 0) << 3 * field)
-                            for a, b, i in zip(u0, u1, top_first))
-        self.det, self.width, self.field, self.u0, self.u1 = det, width, field, u0, u1
-        self.precision = spread.bit_length() + math.ceil(plan.log2_beta) + _GUARD_BITS  # G
-        self.p_coef, self.q_coef = tuple(p_coef), tuple(q_coef)
-
-
-_block_plan = lru_cache(maxsize=None)(_BlockPlan)
-
-
-def _step_down(plan: _BlockPlan, s0: int, s1: int, places: int) -> tuple[int, int]:
-    """The window `places` (<= width) below (s0, s1), by one exact division by d^places."""
-    p_up, p_at = plan.p_coef[places + 1], plan.p_coef[places]
-    q_up, q_at = plan.q_coef[places + 1], plan.q_coef[places]
-    divisor = plan.det ** places
-    return (q_at * s0 - q_up * s1) // divisor, (p_up * s1 - p_at * s0) // divisor
-
-
 def _blocks(rows: Rows):
     """(lo, span, s_lo, s_{lo-1}) for the blocks of places rows.top .. _LOW_PLACES, top first.
 
     Blocks are aligned on _LOW_PLACES, so the first may span fewer places.
     """
-    plan = _block_plan(rows._plan.m)
+    plan = rows._plan
     lo = _LOW_PLACES + (rows.top - _LOW_PLACES) // plan.width * plan.width
-    s0, s1 = _step_down(plan, rows.s(rows.top), rows.s(rows.top - 1), rows.top - lo)
+    s0, s1 = rows.window(lo)
     span = rows.top - lo + 1
     while True:
         yield lo, span, s0, s1
@@ -410,8 +364,8 @@ def _descend(rows: Rows, values: Sequence[int],
     sum_j d_j |phi^j(A)|_B over those places.  With `digits` (one value),
     the digits are appended to it, top first.
     """
-    plan = _block_plan(rows._plan.m)
-    simple, field = rows._plan.simple, plan.field
+    plan = rows._plan
+    simple, field = plan.simple, plan.field
     sign, mask = 2 * simple - 1, (1 << field) - 1  # the sign of u1
     rests, weights = list(values), [0] * len(values)
     for lo, span, s0, s1 in _blocks(rows):
@@ -453,7 +407,7 @@ def _descend(rows: Rows, values: Sequence[int],
 
 def _upper_value(rows: Rows, digits: Sequence[int]) -> int:
     """sum d_j U_j over the places rows.top .. _LOW_PLACES of a top-first digit string."""
-    plan = _block_plan(rows._plan.m)
+    plan = rows._plan
     total = 0
     for lo, span, s0, s1 in _blocks(rows):
         cut = plan.width - span

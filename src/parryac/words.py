@@ -71,8 +71,8 @@ class Morphism:
     """A validated (p, q, family) triple.
 
     Instances are immutable, hashable, and safe to share across threads;
-    they key numeration's rows j < 128 and block coefficients, and the
-    oracle's one-entry cache.
+    they key numeration's one plan per morphism and the oracle's one-entry
+    cache.
     """
 
     p: int

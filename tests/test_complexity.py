@@ -68,6 +68,9 @@ def test_ac_nonsimple_k_invariance(m):
         value = ac_nonsimple(m, n)
         assert ac_nonsimple(m, n, k=k) == value
         assert ac_nonsimple(m, n, k=k + 1) == value
+    # a k far above a large n's stage reads U_{N+1} more than a block below U_k
+    n = 10 ** 300 + 7
+    assert ac_nonsimple(m, n, k=choose_k_nonsimple(m, n) + 300) == ac_nonsimple(m, n)
 
 
 def test_ac_nonsimple_rejects_inadmissible_k(nonsimple31):

@@ -23,7 +23,7 @@ from parryac import (
     u_rep_value,
     u_value,
 )
-from parryac.numeration import _block_plan, _blocks, _plan, b_weights, place_rows, top_index
+from parryac.numeration import _blocks, _plan, b_weights, place_rows, top_index
 from parryac.words import apply
 
 from conftest import (
@@ -229,10 +229,11 @@ def test_negative_n_is_rejected(m, n):
 
 
 def test_no_numeration_structure_grows_with_n():
-    # each morphism keeps the rows j < 128 and its block coefficients, both
-    # fixed in size; no call leaves anything behind that grows with n
+    # each morphism keeps one plan, fixed in size: the rows j < 128 and an s
+    # list that reaches one block past them; no call leaves anything behind
+    # that grows with n
     m = make_morphism(5, 2, "nonsimple")
-    ac(m, 10 ** 300)  # past place 128: the row list and the block coefficients exist
+    ac(m, 10 ** 300)  # past place 128: the plan exists and the blocked pass has run
     gc.collect()
     tracemalloc.start()
     try:
@@ -248,13 +249,15 @@ def test_no_numeration_structure_grows_with_n():
     finally:
         tracemalloc.stop()
     assert kept < 16 * 2 ** 10, kept
-    assert [len(column) for column in _plan(m).counts] == [128, 128]
+    plan = _plan(m)
+    assert len(plan.places) == 128
+    assert len(plan.s) <= max(128, plan.width) + 2
 
 
 @pytest.mark.parametrize("m", BASELINE, ids=str)
 def test_large_n_runs_in_a_few_megabytes(m):
     n = 7 * 10 ** 9999 + 12345
-    ac(m, 10 ** 300)  # past place 128: the row list and the block coefficients exist
+    ac(m, 10 ** 300)  # past place 128: the plan exists and the blocked pass has run
     tracemalloc.start()
     try:
         ac(m, n)
@@ -268,10 +271,11 @@ def test_large_n_runs_in_a_few_megabytes(m):
 # --- large-n certificates ----------------------------------------------------------
 
 #: The baseline three, two non-simple morphisms with d = p - q > 1 (one with
-#: places of about 20 bits), and a simple one whose every place spans more
-#: than 64 bits.
+#: places of about 20 bits), a simple one whose every place spans more than
+#: 64 bits, and simple (1, 1), whose blocks of 184 places are wider than the
+#: row list, so its s list reaches past place 128, to place 184.
 CERTIFIED = BASELINE + [make_morphism(7, 3, "nonsimple"), make_morphism(10 ** 6, 1, "nonsimple"),
-                        make_morphism(2 ** 70, 3, "simple")]
+                        make_morphism(2 ** 70, 3, "simple"), make_morphism(1, 1, "simple")]
 
 
 def _assert_certified(m, n):
@@ -305,7 +309,7 @@ def test_greedy_digits_certified_at_large_n(m):
 def _places_on_their_lower_bound(m, top):
     # places j <= top where U_j / 2^S lies less than one unit above the lower
     # bound unit + u1 of its truncated value, for the pass's own blocks and S
-    plan = _block_plan(m)
+    plan = _plan(m)
     found = []
     for lo, span, s0, s1 in _blocks(place_rows(m, top)):
         shift = max(s0.bit_length() - plan.precision, 0)
@@ -331,8 +335,8 @@ def test_greedy_digits_certified_where_a_place_sits_on_its_lower_bound(m):
 
 
 def test_concurrent_cold_start_keeps_u_values_exact():
-    # threads build one cold morphism's row list and block coefficients at
-    # once, then read places on both sides of the list's end
+    # threads build one cold morphism's plan at once, then read places on
+    # both sides of the row list's end
     m = make_morphism(7, 3, "nonsimple")
     u = [sum(power[0]) for power in ref_matrix_powers(m, 400)]
     failures = []
