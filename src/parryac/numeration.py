@@ -169,12 +169,12 @@ class Rows:
         """(s_j, s_{j-1}), for j >= 0."""
         plan = self._plan
         i = j - self.top
-        if i >= 0:
+        if 0 <= i < len(plan.s) - 1:
             s, q_coef, s_top, s_prev = plan.s, plan.q_coef, self._s_top, self._s_prev
             return s[i + 1] * s_top + q_coef[i + 1] * s_prev, s[i] * s_top + q_coef[i] * s_prev
-        if i >= -plan.width:
+        if -plan.width <= i < 0:
             return _step_down(plan, self._s_top, self._s_prev, -i)
-        return _window(plan, j)  # far below the window: only an explicit k reads these
+        return _window(plan, j)  # far from the window, as for an explicit k in ac_nonsimple
 
     def place(self, j: int) -> tuple[int, int]:
         """(U_j, |phi^j(A)|_B)."""

@@ -290,6 +290,16 @@ def _assert_certified(m, n):
 
 
 @pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_place_rows_read_every_place_from_any_top(m):
+    # rows at any top give every U_j and |phi^j(A)|_B: from the row list, above
+    # the window, a step down and far from the window alike
+    expected = [(a + b, b) for _, (a, b) in zip(range(700), ref_rows(m))]
+    for top in (0, 126, 127, 128, 300, 600):
+        rows = place_rows(m, top)
+        assert [rows.place(j) for j in range(700)] == expected, top
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
 def test_greedy_digits_certified_around_u(m):
     # U_j - 1, U_j and U_j + 1 sit on a place's edge; j <= 600 crosses the
     # end of the row list and many block edges
