@@ -151,10 +151,10 @@ class Rows:
 
     The greedy pass reads places top down to 0; a stage reads U_j and
     sums for j from top - 2 to top + 4.  Rows j < 128 come from the plan,
-    the others from the window (s_top, s_{top-1}): rows above it as
-    s_{top+i} = s_i s_top + Q_i s_{top-1}, rows up to a block below it by
-    one _step_down, so a stage pays for one window however many rows it
-    reads.  `low` holds (U_j, |phi^j(A)|_B) for the list's places
+    the others from the window (s_top, s_{top-1}): above it as s_{top+i} =
+    s_i s_top + Q_i s_{top-1}, up to a block below it by one _step_down
+    (farther off by doubling), so a stage pays for one window however many
+    rows it reads.  `low` holds (U_j, |phi^j(A)|_B) for the list's places
     min(top, 127) down to 0.
     """
 
