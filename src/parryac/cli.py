@@ -74,8 +74,8 @@ def _decimal(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--family", required=True, choices=[f.value for f in Family])
-    common.add_argument("--p", type=int, required=True, help="image of A is A^p B")
-    common.add_argument("--q", type=int, required=True,
+    common.add_argument("--p", type=_decimal, required=True, help="image of A is A^p B")
+    common.add_argument("--q", type=_decimal, required=True,
                         help="image of B is A^q (simple) or A^q B (non-simple)")
     common.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
 
@@ -93,26 +93,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", parents=[common],
                               help="brute-force window interval for one n")
-    p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--prefix-len", type=int, default=None,
+    p_oracle.add_argument("--n", type=_decimal, required=True)
+    p_oracle.add_argument("--prefix-len", type=_decimal, default=None,
                           help="scan exactly this prefix instead of the certified words")
     p_oracle.set_defaults(handler=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="three-way agreement over 1..n_max")
-    p_verify.add_argument("--n-max", type=int, required=True)
+    p_verify.add_argument("--n-max", type=_decimal, required=True)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_urep = sub.add_parser("urep", parents=[common],
                             help="greedy U-representation digits of n")
     p_urep.add_argument("--n", type=_decimal, required=True)
-    p_urep.add_argument("--places", type=int, default=None,
+    p_urep.add_argument("--places", type=_decimal, default=None,
                         help="left-pad with zeros to this many places")
     p_urep.set_defaults(handler=_cmd_urep)
 
     p_word = sub.add_parser("word", parents=[common], help="emit a word prefix")
     p_word.add_argument("--which", required=True, choices=[UBETA, V, W])
-    p_word.add_argument("--len", type=int, required=True, dest="length")
+    p_word.add_argument("--len", type=_decimal, required=True, dest="length")
     p_word.set_defaults(handler=_cmd_word)
 
     p_maxac = sub.add_parser("maxac", parents=[common],

@@ -18,16 +18,17 @@ det(I - M), which is -q or 1 - p - q, or by det(I - M^2) for a sum over
 every other index.
 
 Everything in the formulas but the digits depends on n only through its
-stage, which changes when n reaches the next U_J.  One kernel per family
-walks consecutive n, computing a stage's terms when n enters it; ac_range
-streams its values, and ac and ac_nonsimple are its one-n case.
+stage, which changes when n reaches the next U_J.  One builder per family
+turns stages into records, AC(n) = base +- W(x) - W(y) with W the greedy
+pass, and one loop walks consecutive n over them from one top window;
+ac_range streams its values, and ac and ac_nonsimple are its one-n case.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .extremal import (
     _split_stage,
@@ -39,7 +40,7 @@ from .extremal import (
     w_b_count_nonsimple,
     w_b_count_simple,
 )
-from .numeration import b_weights, place_rows, prefix_b_count, top_index
+from .numeration import Rows, _top_rows, b_weights, prefix_b_count
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -54,37 +55,23 @@ class ACResult(NamedTuple):
     method: str
 
 
-def _nonsimple_values(m: Morphism, start: int, stop: int, k: int | None = None) -> Iterator[int]:
-    """ac_nonsimple's formula for n = start..stop, one stage N at a time.
+def _nonsimple_stages(rows: Rows, k: int | None = None) -> Iterator[tuple]:
+    """Stage records of the non-simple family, one per N, from rows at n's top N.
 
-    The default k is N + 2 for the N with U_N <= n < U_{N+1}, as in
-    choose_k_nonsimple.  k, U_k, U_{k+1} and |w^(k)| change only when n
-    reaches U_{N+1}; per n there remain the admissibility check and the
-    two digit passes.
+    The formula is ac_nonsimple's, over rows at k, by default N + 2 as in
+    choose_k_nonsimple: |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0
+    in this family, so W(n) and W(U_{k+1} - n) are its two digit sums.
     """
-    n = start
-    n_idx = top_index(m, n)
-    while n <= stop:
-        k_idx = n_idx + 2 if k is None else k
-        # |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
-        # b_weights gives the two sums of the formula
-        rows = place_rows(m, k_idx)
-        w_length = _w_stage_length(rows, k_idx)
-        u_k, u_k1 = rows.u(k_idx), rows.u(k_idx + 1)
-        last = min(stop, rows.u(n_idx + 1) - 1)
-        for n in range(n, last + 1):
-            if n > w_length:
-                raise ValueError(
-                    f"k={k_idx} is inadmissible: n={n} exceeds |w^({k_idx})|={w_length}")
-            weight_d, weight_e = b_weights(rows, n, u_k1 - n)
-            value = 1 + u_k - weight_d - weight_e
-            assert value >= 2, (m, n, k_idx, value)
-            yield value
-        n, n_idx = last + 1, n_idx + 1
+    while True:
+        top, k_top = rows.top, rows.top + 2 if k is None else k
+        k_rows = rows.at(k_top)
+        yield (k_rows, rows.u(top + 1) - 1, rows.u(top), _w_stage_length(k_rows, k_top) + 1,
+               1 + k_rows.u(k_top), -1, 0, k_rows.u(k_top + 1))
+        rows = rows.at(top + 1)
 
 
-def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
-    """AC(n) for the simple family with q > 1, n = start..stop.
+def _simple_stages(rows: Rows, start: int) -> Iterator[tuple]:
+    """Stage records of the simple family with q > 1, from rows at start's top J.
 
     With stages (M, N, J) from choose_mn_simple, (c) the greedy digits of
     n - |w^(N)| and (d) those of n - |v^(M)|, both padded to J+1 places:
@@ -94,38 +81,44 @@ def _simple_values(m: Morphism, start: int, stop: int) -> Iterator[int]:
 
     where T = sum_{i=0..N-1} (|phi^(2i+1)(A)|_B - |phi^(2i)(A)|_B) is the
     telescoped form of the alternating matrix-power sum, kept in pure
-    integer arithmetic.
-
-    Within U_J <= n < U_{J+1}, (M, N) takes one of two values on either
-    side of a threshold (extremal._split_stage).  Each side's stage lengths
-    and constant term are computed once; per n there remain the
-    stage-bracket check and the two digit passes.
+    integer arithmetic.  Within U_J <= n < U_{J+1}, (M, N) takes one of
+    two values on either side of a threshold (extremal._split_stage): two
+    records per J, less one that ends below start, skipped before its sums.
     """
-    n = start
-    j_idx = top_index(m, n)
-    while n <= stop:
-        rows = place_rows(m, j_idx)
-        stage_last = min(stop, rows.u(j_idx + 1) - 1)
+    while True:
         stage_length = partial(_wv_stage_length, rows)
         threshold, below, above = _split_stage(rows)
-        for (m_stage, n_stage), last in ((below, min(stage_last, threshold - 1)),
-                                         (above, stage_last)):
-            if n > last:
+        for (m_stage, n_stage), last in ((below, threshold - 1), (above, rows.u(rows.top + 1) - 1)):
+            if last < start:
                 continue
             w_low, w_high = stage_length(W, n_stage), stage_length(W, n_stage + 1)
             v_low, v_high = stage_length(V, m_stage), stage_length(V, m_stage + 1)
             # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
             # term extends T's even sum to 2M
-            base = 2 + (m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)
-                                    - rows.sum((0, 1), 2 * m_stage, 2))
-            for n in range(n, last + 1):
-                assert w_low <= n < w_high and v_low <= n < v_high, (m, n, m_stage, n_stage)
-                weight_c, weight_d = b_weights(rows, n - w_low, n - v_low)
-                value = base + weight_c - weight_d
-                assert value >= 2, (m, n, value)
-                yield value
-            n = last + 1
-        j_idx += 1
+            base = 2 + (rows.m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)
+                                         - rows.sum((0, 1), 2 * m_stage, 2))
+            yield rows, last, max(w_low, v_low), min(w_high, v_high), base, 1, w_low, v_low
+        rows = rows.at(rows.top + 1)
+
+
+def _values(records: Iterable[tuple], start: int, stop: int) -> Iterator[int]:
+    """AC(n) for n = start..stop, from the stage records that cover them in order.
+
+    A record (rows, last, low, high, base, sign, x0, y0) covers the n of a
+    stage up to `last`, all in low <= n < high, with AC(n) = base +
+    sign W(n - x0) - W(sign (n - y0)), W = b_weights over its rows.
+    """
+    n = start
+    for rows, last, low, high, base, sign, x0, y0 in records:
+        for n in range(n, min(last, stop) + 1):
+            assert low <= n < high, (rows.m, n, low, high)
+            weight_x, weight_y = b_weights(rows, n - x0, sign * (n - y0))
+            value = base + sign * weight_x - weight_y
+            assert value >= 2, (rows.m, n, value)
+            yield value
+        if last >= stop:
+            return
+        n = last + 1
 
 
 def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
@@ -140,7 +133,10 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return next(_nonsimple_values(m, n, n, k))
+    record = next(_nonsimple_stages(_top_rows(m, n), k))
+    if n >= record[3]:  # record[3] is |w^(k)| + 1, and only an explicit k can fail
+        raise ValueError(f"k={k} is inadmissible: n={n} exceeds |w^({k})|={record[3] - 1}")
+    return next(_values((record,), n, n))
 
 
 def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
@@ -157,8 +153,9 @@ def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     lengths = range(start, stop + 1)
     if m.family is Family.SIMPLE and m.q == 1:
         return map(ACResult, lengths, repeat(2), repeat(METHOD_STURMIAN))
-    values = _simple_values if m.family is Family.SIMPLE else _nonsimple_values
-    return map(ACResult, lengths, values(m, start, stop), repeat(METHOD_CLOSED_FORM))
+    rows = _top_rows(m, start)
+    records = _simple_stages(rows, start) if m.family is Family.SIMPLE else _nonsimple_stages(rows)
+    return map(ACResult, lengths, _values(records, start, stop), repeat(METHOD_CLOSED_FORM))
 
 
 def ac(m: Morphism, n: int) -> ACResult:

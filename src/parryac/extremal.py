@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .numeration import Rows, _top_rows, place_rows, prefix_b_count, top_index
+from .numeration import Rows, _top_rows, b_weights, place_rows, prefix_b_count, top_index
 from .words import (
     B,
     Family,
@@ -72,11 +72,7 @@ def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
 
 
 def _w_stage_length(rows: Rows, stage: int) -> int:
-    """w_stage_length_nonsimple(rows.m, stage), unchecked, from rows near the stage.
-
-    rows is numeration.place_rows(m, j) for some j near stage: a kernel
-    reads all of a stage's rows from one such window.
-    """
+    """w_stage_length_nonsimple(rows.m, stage), unchecked, from rows near the stage."""
     return rows.sum((1, rows.m.q + 1 - rows.m.p), stage)
 
 
@@ -108,7 +104,7 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     rows = place_rows(m, k)
     if n > _w_stage_length(rows, k):
         raise IndexError(f"n={n} exceeds |w^({k})|={_w_stage_length(rows, k)}; pick a larger k")
-    return rows.u(k) - prefix_b_count(m, rows.u(k + 1) - n)
+    return rows.u(k) - b_weights(rows, rows.u(k + 1) - n)[0]
 
 
 # --- simple family (q > 1) ----------------------------------------------------

@@ -153,9 +153,9 @@ class Rows:
     sums for j from top - 2 to top + 4.  Rows j < 128 come from the plan,
     the others from the window (s_top, s_{top-1}): above it as s_{top+i} =
     s_i s_top + Q_i s_{top-1}, up to a block below it by one _step_down
-    (farther off by doubling), so a stage pays for one window however many
-    rows it reads.  `low` holds (U_j, |phi^j(A)|_B) for the list's places
-    min(top, 127) down to 0.
+    (farther off by doubling).  `at` moves to a nearby top the same way, so
+    a walk over stages pays for one window by doubling.  `low` holds (U_j,
+    |phi^j(A)|_B) for the list's places min(top, 127) down to 0.
     """
 
     __slots__ = ("m", "top", "low", "_plan", "_s_top", "_s_prev")
@@ -175,6 +175,10 @@ class Rows:
         if -plan.width <= i < 0:
             return _step_down(plan, self._s_top, self._s_prev, -i)
         return _window(plan, j)  # far from the window, as for an explicit k in ac_nonsimple
+
+    def at(self, j: int) -> Rows:
+        """The rows at top j, from this window: products above it, _step_down below."""
+        return Rows(self._plan, j, self.window(j) if j >= _LOW_PLACES else None)
 
     def place(self, j: int) -> tuple[int, int]:
         """(U_j, |phi^j(A)|_B)."""
@@ -246,7 +250,7 @@ def _top_rows(m: Morphism, n: int) -> Rows:
         top -= 1
     while rows.u(top + 1) <= n:
         top += 1
-    return rows if top == rows.top else Rows(plan, top, rows.window(top))
+    return rows if top == rows.top else rows.at(top)
 
 
 def u_value(m: Morphism, k: int) -> int:

@@ -317,6 +317,14 @@ def test_non_decimal_n(capsys):
     ["ac", *NS31, "--n", "7" * 3000 + "x"],
     ["ac", *S32, "--n", "1", "--n-end", "x" * 5000],
     ["urep", *NS31, "--n", "x" * 5000],
+    # every integer flag, not only the lengths of ac and urep
+    ["maxac", "--family", "nonsimple", "--p", "x" * 5000, "--q", "1"],
+    ["maxac", "--family", "nonsimple", "--p", "3", "--q", "x" * 5000],
+    ["oracle", *NS31, "--n", "7" * 3000 + "x"],
+    ["oracle", *NS31, "--n", "7", "--prefix-len", "x" * 5000],
+    ["verify", *NS31, "--n-max", "x" * 5000],
+    ["word", *NS31, "--which", "ubeta", "--len", "x" * 5000],
+    ["urep", *NS31, "--n", "7", "--places", "x" * 5000],
 ])
 def test_long_malformed_n_is_not_echoed(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -331,6 +339,7 @@ def test_long_malformed_n_is_not_echoed(capsys, argv):
     ["ac", *NS31, "--n", "7" * 4400],
     ["ac", *S32, "--n", "1", "--n-end", "7" * 4400],
     ["urep", *NS31, "--n", "7" * 4400],
+    ["oracle", *NS31, "--n", "7" * 4400],
 ])
 def test_n_past_the_int_string_limit_names_the_limit(capsys, argv):
     code, out, err = run(capsys, argv)

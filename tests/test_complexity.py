@@ -117,25 +117,37 @@ def test_ac_range_equals_ac(m):
     assert list(ac_range(m, 1, 3000)) == [ac(m, n) for n in range(1, 3001)]
 
 
-def _stage_edges(m, top_j=12):
-    """U_J and the v/w stage lengths for every stage up to J = top_j."""
-    edges = [u_value(m, j) for j in range(top_j + 1)]
+def _stage_edges(m, places):
+    """U_j and the stage lengths at each place j: |w^(j)| (non-simple), or
+    |v^(floor(j/2))| and |w^(ceil(j/2))| (simple, q > 1)."""
+    edges = [u_value(m, j) for j in places]
     if m.family.value == "nonsimple":
-        edges += [w_stage_length_nonsimple(m, k) for k in range(top_j + 2)]
+        edges += [w_stage_length_nonsimple(m, j) for j in places]
     elif m.q > 1:
-        edges += [wv_stage_length_simple(m, "v", s) for s in range(-1, top_j // 2 + 1)]
-        edges += [wv_stage_length_simple(m, "w", s) for s in range(top_j // 2 + 2)]
+        edges += [wv_stage_length_simple(m, "v", j // 2) for j in places]
+        edges += [wv_stage_length_simple(m, "w", (j + 1) // 2) for j in places]
     return edges
 
 
 @pytest.mark.parametrize("m", GRID_25)
 def test_ac_range_equals_ac_across_stage_edges(m):
     # spans that start just before, at and just after every stage change
-    starts = {max(edge + shift, 1) for edge in _stage_edges(m) for shift in (-1, 0, 1)}
+    starts = {max(edge + shift, 1) for edge in _stage_edges(m, range(14)) for shift in (-1, 0, 1)}
     starts |= {10 ** 30, 10 ** 30 + 12345}
     for start in sorted(starts):
         stop = start + 40
         assert list(ac_range(m, start, stop)) == [ac(m, n) for n in range(start, stop + 1)]
+
+
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1],
+                               make_morphism(7, 3, "nonsimple"), make_morphism(2, 2, "simple")],
+                         ids=str)
+def test_ac_range_equals_ac_across_stage_edges_past_the_row_list(m):
+    # a range steps from stage to stage by moving its window; past place 128
+    # that is a product or a step down, where each lone ac doubles afresh
+    for edge in _stage_edges(m, (126, 127, 128, 129, 130, 300, 301)):
+        start = edge - 3
+        assert list(ac_range(m, start, start + 6)) == [ac(m, n) for n in range(start, start + 7)]
 
 
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1],

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from parryac import (
     Family,
     ac,
+    ac_range,
+    ac_via_prefix_counts,
     fixed_point_prefix,
     make_morphism,
     normal_u_rep,
@@ -23,6 +25,7 @@ from parryac import (
     u_rep_value,
     u_value,
 )
+from parryac import numeration
 from parryac.numeration import _blocks, _plan, b_weights, place_rows, top_index
 from parryac.words import apply
 
@@ -266,6 +269,30 @@ def test_large_n_runs_in_a_few_megabytes(m):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("m", BASELINE, ids=str)
+def test_one_top_window_per_call(m, monkeypatch):
+    # past the s list a window comes by doubling; a call takes one for n's top
+    # and reaches every other row it reads from that one
+    window, doublings = numeration._window, []
+
+    def counted(plan, k):
+        doublings.append(k + 1 >= len(plan.s))
+        return window(plan, k)
+
+    def count(call, *args):
+        doublings.clear()
+        call(m, *args)
+        return sum(doublings)
+
+    monkeypatch.setattr(numeration, "_window", counted)
+    n = 7 * 10 ** 1999 + 12345
+    assert count(ac, n) == 1
+    assert count(lambda *args: list(ac_range(*args)), n, n + 50) == 1
+    if m.family is Family.NONSIMPLE:
+        # the choice of k, |w_n|_B at k and |v_n|_B = prefix_b_count(n)
+        assert count(ac_via_prefix_counts, n) == 3
 
 
 # --- large-n certificates ----------------------------------------------------------
