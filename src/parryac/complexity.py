@@ -22,6 +22,10 @@ stage, which changes when n reaches the next U_J.  One builder per family
 turns stages into records, AC(n) = base +- W(x) - W(y) with W the greedy
 pass, and one loop walks consecutive n over them from one top window;
 ac_range streams its values, and ac and ac_nonsimple are its one-n case.
+A record's first n takes one greedy pass for the digits of both x and y;
+each later n steps them by the odometer of `numeration` and changes each W
+by 0 or 1, an amortized O(1) of small-int work per n.  A record with one
+requested n takes the pass alone and keeps no digits.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .extremal import (
     w_b_count_nonsimple,
     w_b_count_simple,
 )
-from .numeration import Rows, _top_rows, b_weights, prefix_b_count
+from .numeration import Rows, _top_rows, b_weights, digit_lists, prefix_b_count
 from .words import Family, Morphism, UnsupportedConstructionError, V, W
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -106,16 +110,30 @@ def _values(records: Iterable[tuple], start: int, stop: int) -> Iterator[int]:
 
     A record (rows, last, low, high, base, sign, x0, y0) covers the n of a
     stage up to `last`, all in low <= n < high, with AC(n) = base +
-    sign W(n - x0) - W(sign (n - y0)), W = b_weights over its rows.
+    sign W(x) - W(y), x = n - x0 and y = sign (n - y0), W = b_weights over
+    its rows.  A record's first n takes the full pass; when it covers more
+    n, that pass keeps the digits of x and y, and each later n steps them
+    by the plan's odometer: x up, and y up (sign 1) or down (sign -1).
     """
     n = start
     for rows, last, low, high, base, sign, x0, y0 in records:
-        for n in range(n, min(last, stop) + 1):
+        end = min(last, stop)
+        x, y = n - x0, sign * (n - y0)
+        if n == end:
+            weight_x, weight_y = b_weights(rows, x, y)
+        else:
+            (digits_x, digits_y), (weight_x, weight_y) = digit_lists(rows, (x, y))
+            digits_x.append(0)  # room for a carry to scan into
+            digits_y.append(0)
+            up = rows._plan.up
+            step_y = up if sign > 0 else rows._plan.down
+        value = base + sign * weight_x - weight_y
+        for n in range(n, end + 1):
             assert low <= n < high, (rows.m, n, low, high)
-            weight_x, weight_y = b_weights(rows, n - x0, sign * (n - y0))
-            value = base + sign * weight_x - weight_y
             assert value >= 2, (rows.m, n, value)
             yield value
+            if n < end:
+                value += sign * up(digits_x) - step_y(digits_y)
         if last >= stop:
             return
         n = last + 1

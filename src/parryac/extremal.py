@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .numeration import Rows, _top_rows, b_weights, place_rows, prefix_b_count, top_index
+from .numeration import Rows, _top_rows, b_weights, place_rows, top_index
 from .words import (
     B,
     Family,
@@ -197,7 +197,9 @@ def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> 
         raise ValueError(f"stage mismatch: need |{which}^({stage})|={low} <= n < "
                          f"|{which}^({stage + 1})|={high}, got n={n}")
     top = 2 * stage if which == V else 2 * stage - 1
-    return (which == W) + (m.q - 1) * rows.sum((0, 1), top, 2) + prefix_b_count(m, n - low)
+    # n - low < high - low = (q-1) U_{top+2} < U_{top+3}: rows at top + 2 cover it
+    rest = b_weights(rows.at(top + 2), n - low)[0]
+    return (which == W) + (m.q - 1) * rows.sum((0, 1), top, 2) + rest
 
 
 def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:

@@ -17,7 +17,7 @@ places as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1} and down i places by one
 exact division by d^i.  Each morphism keeps one plan, built whole, with
 the rows j < 128: they cover every n below about 2^88 and end every pass.
 
-Above the list, the greedy pass (`b_weights`, and `normal_u_rep` with
+Above the list, the greedy pass (`b_weights`, and `digit_lists` with
 the digits) walks down in blocks of b places, b about 128 bits' worth and
 at least 4.  Place lo + i of a block is U_{lo+i} = u0_i s_lo + u1_i
 s_{lo-1} with small integers u0_i, u1_i, so the block's digits collapse
@@ -80,7 +80,7 @@ class _Plan:
     """
 
     __slots__ = ("m", "simple", "trace", "det", "steps", "log2_beta", "s", "q_coef", "places",
-                 "width", "precision", "u0", "u1", "field", "packed")
+                 "width", "precision", "u0", "u1", "field", "packed", "star")
 
     def __init__(self, m: Morphism):
         self.m = m
@@ -115,6 +115,70 @@ class _Plan:
                             + ((abs(q_coef[i - 1]) if simple or i > 1 else 0) << 3 * field)
                             for a, b, i in zip(u0, u1, top_first))
         self.precision = spread.bit_length() + math.ceil(self.log2_beta) + _GUARD_BITS  # G
+        self.star = m.p, m.q - simple  # the first two letters of d*, for the odometer
+
+    # The odometer: n -> n + 1 and n -> n - 1 on greedy digits kept least
+    # significant first.  The greedy digits of U_i - 1 are the first i letters
+    # of Parry's quasi-greedy string d* = p q q q ... (non-simple) or p (q-1)
+    # p (q-1) ... (simple), so a step rewrites only the places up to one i.
+    # The weight sum_j d_j |phi^j(A)|_B is the B-count of the prefix of length
+    # n, so a step changes it by the letter between the two prefixes: the last
+    # letter of phi^i(A), which is B for i >= 1 (non-simple) or odd i (simple).
+
+    def up(self, digits: list[int]) -> int:
+        """Add 1 to greedy digits, least significant first, in place; return the weight's gain.
+
+        The digit at i*, the largest i whose lowest i digits read top first
+        are d*'s first i letters (0 if none are), grows by 1, and every
+        digit below it becomes 0.  The list needs a place above the top
+        digit of the result.
+        """
+        p, second = self.star
+        first = digits[0]
+        if first != p and first != second:  # no run of d*'s letters: i* = 0
+            digits[0] = first + 1
+            return 0
+        i = 0
+        if self.simple:
+            # the run from place 0 that alternates p and q - 1, cut to end in p
+            letter, after = (p, second) if first == p else (second, p)
+            while digits[i] == letter:
+                i += 1
+                letter, after = after, letter
+            if after != p:
+                i -= 1
+        else:
+            # a run of q from place 0, under a p
+            while digits[i] == second:
+                i += 1
+            i = i + 1 if digits[i] == p else 0
+        if not i:
+            digits[0] = first + 1
+            return 0
+        digits[:i] = [0] * i
+        digits[i] += 1
+        return i & 1 if self.simple else 1
+
+    def down(self, digits: list[int]) -> int:
+        """Subtract 1 from positive greedy digits, as `up` adds it; return the weight's change.
+
+        The lowest nonzero digit, at place i, falls by 1, and d*'s first i
+        letters fill the places below it.
+        """
+        if digits[0]:
+            digits[0] -= 1
+            return 0
+        i = 1
+        while not digits[i]:
+            i += 1
+        digits[i] -= 1
+        p, second = self.star
+        if self.simple:
+            letters = [p, second] if i & 1 else [second, p]
+            digits[:i] = (letters * (i + 1 >> 1))[:i]
+            return -(i & 1)
+        digits[:i] = [second] * (i - 1) + [p]
+        return -1
 
 
 _plan = lru_cache(maxsize=None)(_Plan)
@@ -292,14 +356,25 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     if min_places is not None and min_places < 1:
         raise ValueError(f"min_places must be positive, got {min_places}")
     rows = _top_rows(m, n)
-    digits = [0] * ((min_places or 0) - 1 - rows.top)
-    rest = n
+    (digits,), _ = digit_lists(rows, (n,))
+    digits += repeat(0, (min_places or 0) - 1 - rows.top)
+    return tuple(reversed(digits))
+
+
+def digit_lists(rows: Rows, values: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """Each value's greedy digits over places 0 .. rows.top, least significant first,
+    and its b_weights sum, from one pass; the values must be below U_{top+1}."""
+    digits = [[] for _ in values]
+    rests, weights = list(values), [0] * len(values)
     if rows.top >= _LOW_PLACES:
-        (rest,), _ = _descend(rows, (n,), digits)
-    for u, _ in rows.low:
-        d, rest = divmod(rest, u)
-        digits.append(d)
-    return tuple(digits)
+        rests, weights = _descend(rows, values, digits)
+    for v, rest in enumerate(rests):
+        for u, count_b in rows.low:
+            d, rest = divmod(rest, u)
+            digits[v].append(d)
+            weights[v] += d * count_b
+        digits[v].reverse()
+    return digits, weights
 
 
 def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
@@ -361,12 +436,12 @@ def _blocks(rows: Rows):
 
 
 def _descend(rows: Rows, values: Sequence[int],
-             digits: list[int] | None = None) -> tuple[list[int], list[int]]:
+             digits: list[list[int]] | None = None) -> tuple[list[int], list[int]]:
     """The greedy pass over places rows.top .. _LOW_PLACES for each value.
 
     Returns each value's rest, now below U_{_LOW_PLACES}, and its
-    sum_j d_j |phi^j(A)|_B over those places.  With `digits` (one value),
-    the digits are appended to it, top first.
+    sum_j d_j |phi^j(A)|_B over those places.  With `digits`, one list
+    per value, each value's digits are appended to its list, top first.
     """
     plan = rows._plan
     simple, field = plan.simple, plan.field
@@ -405,7 +480,7 @@ def _descend(rows: Rows, values: Sequence[int],
             weights[v] += ((fields >> 2 * field & mask) * s0
                            + (sign * (fields >> 3 * field) + (1 - simple) * block[-1]) * s1)
             if digits is not None:
-                digits += block
+                digits[v] += block
     return rests, weights
 
 

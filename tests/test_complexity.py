@@ -8,6 +8,7 @@ from parryac import (
     METHOD_CLOSED_FORM,
     METHOD_STURMIAN,
     ACResult,
+    Family,
     UnsupportedConstructionError,
     ac,
     ac_nonsimple,
@@ -22,6 +23,8 @@ from parryac import (
     w_stage_length_nonsimple,
     wv_stage_length_simple,
 )
+from parryac import complexity, numeration
+from parryac.numeration import digit_lists, top_index
 from conftest import (
     MATRIX_IDENTITY,
     NONSIMPLE_GRID,
@@ -152,9 +155,55 @@ def test_ac_range_equals_ac_across_stage_edges_past_the_row_list(m):
 
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1],
                                STURMIAN_SIMPLE[2]])
-def test_ac_range_equals_ac_at_5000_digits(m):
-    start = 7 * 10 ** 4999 + 12345
-    assert list(ac_range(m, start, start + 3)) == [ac(m, n) for n in range(start, start + 4)]
+def test_ac_range_equals_ac_at_5000_digits(m, monkeypatch):
+    # 60 n from 30 below the first stage edge past n's top place, where the
+    # range changes records, and from 30 below U_top past the last one, where
+    # the odometer carries above place 128: each lone ac takes the full pass
+    records, carries = [], []
+
+    def spied(step):
+        def counted(plan, digits):
+            before = list(digits)
+            change = step(plan, digits)
+            carries.append(max(i for i, (a, b) in enumerate(zip(before, digits)) if a != b))
+            return change
+        return counted
+
+    def first_pass(rows, values):
+        records.append(rows.top)
+        return digit_lists(rows, values)
+
+    monkeypatch.setattr(complexity, "digit_lists", first_pass)
+    for name in ("up", "down"):
+        monkeypatch.setattr(numeration._Plan, name, spied(getattr(numeration._Plan, name)))
+    top = top_index(m, 7 * 10 ** 4999 + 12345)
+    edges = _stage_edges(m, [top + 1])
+    crossed = []
+    for start in (edges[0] - 30, edges[-1] + u_value(m, top) - 30):
+        records.clear()
+        carries.clear()
+        assert list(ac_range(m, start, start + 59)) == [ac(m, n) for n in range(start, start + 60)]
+        crossed.append((len(records), max(carries, default=0)))
+    if m.q > 1 or m.family is Family.NONSIMPLE:  # the Sturmian values need no records
+        assert crossed[0][0] >= 2 and crossed[1][1] > 128, crossed
+
+
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]], ids=str)
+def test_one_n_calls_take_no_odometer_step(m, monkeypatch):
+    # a record that covers one requested n takes the full pass alone: it
+    # keeps no digits and steps nothing
+    def refuse(*args):
+        raise AssertionError("a one-n call kept or stepped digits")
+
+    monkeypatch.setattr(complexity, "digit_lists", refuse)
+    for name in ("up", "down"):
+        monkeypatch.setattr(numeration._Plan, name, refuse)
+    n = 7 * 10 ** 1999 + 12345
+    expected = ACResult(n, ac_via_prefix_counts(m, n), METHOD_CLOSED_FORM)
+    assert ac(m, n) == expected
+    assert list(ac_range(m, n, n)) == [expected]
+    if m.family is Family.NONSIMPLE:
+        assert ac_nonsimple(m, n, choose_k_nonsimple(m, n) + 3) == expected.value
 
 
 @pytest.mark.parametrize("m", STURMIAN_SIMPLE)

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from conftest import (
     ref_digit_sums,
     ref_fixed_point,
     ref_matrix_powers,
+    ref_quasi_greedy,
     ref_rows,
 )
 
@@ -289,10 +291,55 @@ def test_one_top_window_per_call(m, monkeypatch):
     monkeypatch.setattr(numeration, "_window", counted)
     n = 7 * 10 ** 1999 + 12345
     assert count(ac, n) == 1
+    # the odometer's first digits come from the pass on the record's rows
     assert count(lambda *args: list(ac_range(*args)), n, n + 50) == 1
-    if m.family is Family.NONSIMPLE:
-        # the choice of k, |w_n|_B at k and |v_n|_B = prefix_b_count(n)
-        assert count(ac_via_prefix_counts, n) == 3
+    # the choice of stage, then |w_n|_B and |v_n|_B at their stages (non-simple:
+    # |v_n|_B = prefix_b_count(n))
+    assert count(ac_via_prefix_counts, n) == 3
+
+
+# --- the odometer ---------------------------------------------------------------------
+
+def _certified_weight(m, digits, n):
+    # least significant first digits that are Parry-admissible and sum to n are
+    # n's greedy digits; returns their B-weight, summed independently
+    top_first = digits[::-1]
+    assert ref_admissible(m, top_first), n
+    value, weight = ref_digit_sums(m, top_first)
+    assert value == n
+    return weight
+
+
+def _assert_steps(m, low, high, n):
+    # up takes the digits of n to those of n + 1 and down takes them back, each
+    # changing the weight by the B-count of the letter between the two prefixes
+    plan, gain = _plan(m), prefix_b_count(m, n + 1) - prefix_b_count(m, n)
+    stepped = list(low)
+    assert plan.up(stepped) == gain and stepped == high, n
+    stepped = list(high)
+    assert plan.down(stepped) == -gain and stepped == low, n
+
+
+@pytest.mark.parametrize("m", FULL_GRID + [make_morphism(7, 3, "nonsimple")], ids=str)
+def test_odometer_steps_greedy_digits(m):
+    # n = 0 .. 3000, each string stepped up from the one before and certified
+    digits, weight = [0] * 16, 0
+    for n in range(3000):
+        low = list(digits)
+        gain = _plan(m).up(digits)
+        next_weight = _certified_weight(m, digits, n + 1)
+        assert gain == next_weight - weight, n
+        _assert_steps(m, low, digits, n)
+        weight = next_weight
+    # U_j - 2 .. U_j + 1 for j <= 300, from the first j letters of Parry's
+    # quasi-greedy string d*, which are the digits of U_j - 1: long carries
+    for j, (a, b) in zip(range(1, 301), islice(ref_rows(m), 1, None)):
+        below = ref_quasi_greedy(m, j)[::-1] + [0, 0]
+        strings = [[below[0] - 1, *below[1:]], below, [0] * j + [1, 0], [1, *[0] * (j - 1), 1, 0]]
+        for shift, digits in enumerate(strings):
+            _certified_weight(m, digits, a + b - 2 + shift)
+        for shift, (low, high) in enumerate(zip(strings, strings[1:])):
+            _assert_steps(m, low, high, a + b - 2 + shift)
 
 
 # --- large-n certificates ----------------------------------------------------------
