@@ -5,21 +5,22 @@ closed-form modules, so it can serve as an independent oracle for them.
 A length-n window scan over a word uses a cumulative B-count array and
 costs O(len(word)) regardless of n.
 
-oracle_ac scans words that provably hold every factor of length n.  The
-fixed point u satisfies u = phi^k(u), so it is a concatenation of blocks
-phi^k(A) and phi^k(B), and none is shorter than phi^k(B) (phi(B) is a
+oracle_ac scans one word that provably holds every factor of length n.
+The fixed point u satisfies u = phi^k(u), so it is a concatenation of
+blocks phi^k(A) and phi^k(B), none shorter than phi^k(B) (phi(B) is a
 factor of phi(A) in both families).  Take the least k with
-n - 1 <= |phi^k(B)|.  Then every length-n factor starts in one block and
-ends in the same block or the next, so it is a window of phi^k(xy) for a
-two-letter factor xy of u, and every such window is a factor of u.  The
-two-letter factors are AA, AB and BA; BB never occurs, because every
-letter image starts with A and holds at most one B, at its end.  So the
-windows of phi^k(AA), phi^k(AB) and phi^k(BA) are exactly the length-n
-factors.  This is the standard block argument for primitive
-substitutions: see Queffelec, Substitution Dynamical Systems - Spectral
-Analysis, LNM 1294, and Durand, "Linearly recurrent subshifts have a
-finite number of non-periodic subshift factors", Ergodic Theory Dynam.
-Systems 20 (2000).
+n - 1 <= |phi^k(B)|.  A length-n window that reached three blocks would
+cover a whole block and one letter on each side, n + 1 letters or more.
+So every length-n factor of u is a window of phi^k(xy) for a two-letter
+factor xy of u, and every such window is a factor of u.  The two-letter
+factors are AA, AB and BA (BB never occurs: every letter image starts
+with A and holds at most one B, at its end), and phi^k(AABA) holds them
+at blocks 1-2, 2-3 and 3-4, with no window reaching three of its blocks
+either.  So its length-n windows are exactly the length-n factors: the
+standard block argument for primitive substitutions (Queffelec,
+Substitution Dynamical Systems - Spectral Analysis, LNM 1294; Durand,
+"Linearly recurrent subshifts have a finite number of non-periodic
+subshift factors", Ergodic Theory Dynam. Systems 20 (2000)).
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class ParikhInterval:
     corresponding complexity value is simply 1 + max_b - min_b.
 
     prefix_len_used is the number of letters scanned: the prefix length
-    for parikh_extrema, |phi^k(AA)| + |phi^k(AB)| + |phi^k(BA)| for
-    oracle_ac.  stabilized is True only from oracle_ac, whose scanned words
-    are certified to hold every length-n factor.
+    for parikh_extrema, |phi^k(AABA)| for oracle_ac.  stabilized is True
+    only from oracle_ac, whose scanned word is certified to hold every
+    length-n factor.
     """
 
     n: int
@@ -91,8 +92,10 @@ def _cumulative_b(text: str) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
 
 
-def _window_counts(cum: np.ndarray, n: int) -> np.ndarray:
-    return cum[n:] - cum[:-n]
+def _interval(cum: np.ndarray, n: int, stabilized: bool = False) -> ParikhInterval:
+    """Extreme B-counts over the length-n windows of the word behind cum."""
+    win = cum[n:] - cum[:-n]
+    return ParikhInterval(n, int(win.min()), int(win.max()), len(cum) - 1, stabilized)
 
 
 def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
@@ -101,13 +104,12 @@ def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
         raise ValueError(f"n must be positive, got {n}")
     if prefix_len < n:
         raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
-    win = _window_counts(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
-    return ParikhInterval(n, int(win.min()), int(win.max()), prefix_len)
+    return _interval(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
 
 
 @lru_cache(maxsize=1)
-def _block_pair_counts(m: Morphism, k: int) -> tuple[np.ndarray, ...]:
-    """Cumulative B-counts of phi^k(AA), phi^k(AB) and phi^k(BA).
+def _block_pair_counts(m: Morphism, k: int) -> np.ndarray:
+    """Cumulative B-count of phi^k(AABA), which holds phi^k(AA), phi^k(AB), phi^k(BA).
 
     One entry is enough: verify walks n upwards, so k never decreases and
     each level is built once.
@@ -115,18 +117,17 @@ def _block_pair_counts(m: Morphism, k: int) -> tuple[np.ndarray, ...]:
     image_a, image_b = A, B
     for _ in range(k):
         image_a, image_b = apply(m, image_a), apply(m, image_b)
-    return tuple(_cumulative_b(x + y) for x, y in
-                 ((image_a, image_a), (image_a, image_b), (image_b, image_a)))
+    return _cumulative_b(image_a + image_a + image_b + image_a)
 
 
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     """Certified window interval for length n; its `ac` is 1 + max - min.
 
-    Scans phi^k(AA), phi^k(AB) and phi^k(BA) for the least k with
-    |phi^k(B)| >= n - 1; their windows are exactly the length-n factors of
-    the fixed point (see the module docstring).  Reports stabilized=True.
-    Raises OracleInstabilityError, before generating anything, when
-    phi^k(AA) is longer than GENERATION_CAP.
+    Scans phi^k(AABA) for the least k with |phi^k(B)| >= n - 1; its
+    windows are exactly the length-n factors of the fixed point (see the
+    module docstring), and prefix_len_used is |phi^k(AABA)|.  Reports
+    stabilized=True.  Raises OracleInstabilityError, before generating
+    anything, when phi^k(AA) is longer than GENERATION_CAP.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -139,8 +140,4 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
         raise OracleInstabilityError(
             f"the certified scan for n={n} needs phi^{k}(AA) of {2 * sum(row_a)} letters, "
             f"over the generation cap of {GENERATION_CAP}")
-    cums = _block_pair_counts(m, k)
-    windows = [_window_counts(cum, n) for cum in cums]
-    return ParikhInterval(n, min(int(w.min()) for w in windows),
-                          max(int(w.max()) for w in windows),
-                          sum(len(cum) - 1 for cum in cums), True)
+    return _interval(_block_pair_counts(m, k), n, True)

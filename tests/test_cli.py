@@ -235,7 +235,15 @@ def test_oracle_csv(capsys):
     code, out, _ = run(capsys, ["oracle", *S32, "--format", "csv", "--n", "7"])
     header, row = out.splitlines()
     assert header == "n,min_b,max_b,ac,prefix_len_used,stabilized"
-    assert row.startswith("7,1,2,2,")
+    assert row == "7,1,2,2,50,true"
+
+
+def test_oracle_json(capsys):
+    code, out, _ = run(capsys, ["oracle", *S32, "--format", "json", "--n", "7"])
+    assert code == EX_OK
+    # the exact bytes pin the key order as well as the values
+    assert out == ('{"p": 3, "q": 2, "family": "simple", "n": 7, "min_b": 1, "max_b": 2, '
+                   '"ac": 2, "prefix_len_used": 50, "stabilized": true}\n')
 
 
 def test_oracle_instability_maps_to_exit_2(capsys):

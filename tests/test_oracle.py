@@ -22,6 +22,7 @@ from conftest import (
     FULL_GRID,
     STURMIAN_SIMPLE,
     parikh_set,
+    ref_apply,
     ref_fixed_point,
     ref_window_counts,
     ref_window_interval,
@@ -144,6 +145,26 @@ def test_oracle_ac_covers_reference_prefix_windows(m):
         low, high = ref_window_interval(text, n)
         got = oracle_ac(m, n)
         assert got.min_b <= low and high <= got.max_b
+
+
+@pytest.mark.parametrize("m", FULL_GRID + STURMIAN_SIMPLE)
+def test_oracle_ac_scans_one_word_of_the_three_block_pairs(m):
+    # for the least k with |phi^k(B)| >= n - 1 the interval is the union of
+    # the windows of phi^k(AA), phi^k(AB) and phi^k(BA), read from the one
+    # word phi^k(AABA); |phi^k(B)| + 1 and + 2 are the last n of level k and
+    # the first of level k + 1
+    images = [("A", "B")]
+    while len(images) < 6 or len(images[-1][1]) < max(200, len(images[5][1]) + 1):
+        images.append(tuple(ref_apply(m, word) for word in images[-1]))
+    edges = {len(images[k][1]) + d for k in range(6) for d in (1, 2)}
+    for n in sorted(set(range(1, 201)) | edges):
+        image_a, image_b = next(pair for pair in images if len(pair[1]) >= n - 1)
+        bounds = [ref_window_interval(x + y, n) for x, y in
+                  ((image_a, image_a), (image_a, image_b), (image_b, image_a))]
+        got = oracle_ac(m, n)
+        assert (got.min_b, got.max_b) == (min(low for low, _ in bounds),
+                                          max(high for _, high in bounds)), (m, n)
+        assert got.prefix_len_used == 3 * len(image_a) + len(image_b), (m, n)
 
 
 @pytest.mark.parametrize("m", STURMIAN_SIMPLE)
