@@ -11,8 +11,11 @@ One executable with subcommands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 the oracle's certified
 scan needs more letters than the generation cap, 64 usage error,
-65 unsupported construction.  Output is deterministic;
---format selects plain, csv, or json where applicable.
+65 unsupported construction; `main` maps each error a subcommand raises
+to its code through one table.  Output is deterministic; --format selects
+plain, csv, or json where applicable.  One printer writes the one-record
+results of `oracle` and `maxac`, and every JSON object opens with the
+morphism's p, q and family.  The parser is built once, on first use.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import islice
 
 from .complexity import ac_range, ac_via_prefix_counts, balance_bound, max_ac
@@ -41,6 +45,11 @@ EX_MISMATCH = 1
 EX_UNSTABLE = 2
 EX_USAGE = 64
 EX_UNSUPPORTED = 65
+
+#: The exit code of each error a subcommand may raise; the first match wins,
+#: so UnsupportedConstructionError, a ValueError, comes before ValueError.
+_EXIT_CODES = {UnsupportedConstructionError: EX_UNSUPPORTED, ValueError: EX_USAGE,
+               CapExceededError: EX_USAGE, OracleInstabilityError: EX_UNSTABLE}
 
 #: Rows joined into one write while `ac` streams a range.
 _CHUNK_ROWS = 4096
@@ -71,7 +80,9 @@ def _decimal(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a decimal integer: {shown}")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built once per process and shared, so never modified."""
     common = _Parser(add_help=False)
     common.add_argument("--family", required=True, choices=[f.value for f in Family])
     common.add_argument("--p", type=_decimal, required=True, help="image of A is A^p B")
@@ -133,7 +144,7 @@ def _cmd_ac(m: Morphism, args) -> int:
         rows = (f"{n},{value},{method}" for n, value, method in results)
     elif args.format == "json":
         # the bytes json.dumps gives for the whole payload: rows go between head and tail
-        envelope = json.dumps({"p": m.p, "q": m.q, "family": m.family.value, "results": []})
+        envelope = json.dumps({**_identity(m), "results": []})
         head, sep, tail = envelope[:-2], ", ", envelope[-2:] + "\n"
         rows = (f'{{"n": "{n}", "ac": {value}, "method": "{method}"}}'
                 for n, value, method in results)
@@ -155,19 +166,10 @@ def _cmd_oracle(m: Morphism, args) -> int:
         interval = parikh_extrema(m, args.n, args.prefix_len)
     else:
         interval = oracle_ac(m, args.n)
-    fields = [("n", interval.n), ("min_b", interval.min_b), ("max_b", interval.max_b),
-              ("ac", interval.ac), ("prefix_len_used", interval.prefix_len_used),
-              ("stabilized", str(interval.stabilized).lower())]
-    if args.format == "csv":
-        print(",".join(name for name, _ in fields))
-        print(",".join(str(value) for _, value in fields))
-    elif args.format == "json":
-        payload = {"p": m.p, "q": m.q, "family": m.family.value}
-        payload.update({name: value for name, value in fields})
-        payload["stabilized"] = interval.stabilized
-        print(json.dumps(payload))
-    else:
-        print(" ".join(f"{name}={value}" for name, value in fields))
+    fields = {"n": interval.n, "min_b": interval.min_b, "max_b": interval.max_b,
+              "ac": interval.ac, "prefix_len_used": interval.prefix_len_used,
+              "stabilized": interval.stabilized}
+    _print_record(m, args.format, fields, " ".join(f"{name}={{{name}}}" for name in fields))
     return EX_OK
 
 
@@ -194,12 +196,9 @@ def _cmd_verify(m: Morphism, args) -> int:
 
 
 def _cmd_urep(m: Morphism, args) -> int:
-    if args.n < 0:
-        raise ValueError(f"n must be nonnegative, got {args.n}")
     digits = normal_u_rep(m, args.n, min_places=args.places)
     if args.format == "json":
-        print(json.dumps({"p": m.p, "q": m.q, "family": m.family.value,
-                          "n": str(args.n), "digits": list(digits)}))
+        print(json.dumps({**_identity(m), "n": str(args.n), "digits": list(digits)}))
     else:
         print(",".join(map(str, digits)))
     return EX_OK
@@ -211,42 +210,41 @@ def _cmd_word(m: Morphism, args) -> int:
 
 
 def _cmd_maxac(m: Morphism, args) -> int:
-    top = max_ac(m)
-    bound = balance_bound(m)
-    if args.format == "csv":
-        print("max_ac,balance_bound")
-        print(f"{top},{bound}")
-    elif args.format == "json":
-        print(json.dumps({"p": m.p, "q": m.q, "family": m.family.value,
-                          "max_ac": top, "balance_bound": bound}))
-    else:
-        print(f"{top} {bound}")
+    fields = {"max_ac": max_ac(m), "balance_bound": balance_bound(m)}
+    _print_record(m, args.format, fields, "{max_ac} {balance_bound}")
     return EX_OK
 
 
+def _identity(m: Morphism) -> dict:
+    """The head of every JSON payload: which morphism the values belong to."""
+    return {"p": m.p, "q": m.q, "family": m.family.value}
+
+
+def _print_record(m: Morphism, fmt: str, fields: dict, plain: str) -> None:
+    """Print one record: a csv header and row, a JSON object after m's identity,
+    or the template `plain` filled in.  csv and plain values read as in JSON."""
+    if fmt == "json":
+        print(json.dumps({**_identity(m), **fields}))
+        return
+    shown = {name: json.dumps(value) for name, value in fields.items()}
+    if fmt == "csv":
+        print(",".join(shown))
+        print(",".join(shown.values()))
+    else:
+        print(plain.format_map(shown))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
-        morphism = Morphism(args.p, args.q, args.family)
-    except ValueError as exc:
+        return args.handler(Morphism(args.p, args.q, args.family), args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
-        return args.handler(morphism, args)
-    except UnsupportedConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_UNSUPPORTED
-    except OracleInstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_UNSTABLE
-    except (ValueError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .extremal import (
@@ -161,9 +162,10 @@ def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     """AC(n) for n = start..stop inclusive, in order, as a lazy iterator.
 
     Each stage's constants are computed once, when n enters it, so memory
-    stays constant however long the range.  Raises ValueError at once
-    unless 1 <= start <= stop.
+    stays constant however long the range.  Raises at once: TypeError
+    unless start and stop are integers, ValueError unless 1 <= start <= stop.
     """
+    start, stop = index(start), index(stop)
     if start < 1:
         raise ValueError(f"start must be a positive integer, got {start}")
     if stop < start:

@@ -13,6 +13,7 @@ logarithmic-time complexity formulas possible.
 from __future__ import annotations
 
 from functools import partial
+from operator import index
 
 from .numeration import Rows, _top_rows, b_weights, place_rows, top_index
 from .words import (
@@ -97,6 +98,7 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     U_{j-1} = |phi^j(A)|_B in this family.
     """
     _require_family(m, Family.NONSIMPLE, "w_b_count_nonsimple")
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if k < 0:
@@ -188,6 +190,7 @@ def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
 def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> int:
     """v_b_count_simple or w_b_count_simple, by `which`, with their checks."""
     _require_simple_extremal(m, operation)
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     rows = _stage_rows(m, which, stage)

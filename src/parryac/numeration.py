@@ -55,7 +55,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import repeat
-from operator import add, floordiv, itemgetter, mul, sub
+from operator import add, floordiv, index, itemgetter, mul, sub
 from typing import Sequence
 
 from .words import Family, Morphism
@@ -296,12 +296,14 @@ def _list_top(places: list[tuple[int, int]], n: int) -> int:
 
 def top_index(m: Morphism, n: int) -> int:
     """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
+    n = index(n)
     places = _plan(m).places
     return _list_top(places, n) if 0 <= n < places[-1][0] else _top_rows(m, n).top
 
 
 def _top_rows(m: Morphism, n: int) -> Rows:
     """place_rows(m, top_index(m, n)), with one window for the search and the rows."""
+    n = index(n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     plan = _plan(m)
@@ -399,7 +401,7 @@ def prefix_decomposition(m: Morphism, n: int) -> tuple[tuple[int, int], ...]:
     (phi^N(A))^{d_N} (phi^{N-1}(A))^{d_{N-1}} ... A^{d_0} equals the
     prefix.  Zero exponents are retained; n = 0 gives the empty tuple.
     """
-    if n == 0:
+    if index(n) == 0:
         return ()
     digits = normal_u_rep(m, n)
     top = len(digits) - 1

@@ -159,6 +159,17 @@ def test_urep_places(capsys):
     assert out == "0,0,1,3\n"
 
 
+def test_urep_formats(capsys):
+    assert run(capsys, ["urep", *NS31, "--n", "157", "--format", "json"]) == (
+        EX_OK, '{"p": 3, "q": 1, "family": "nonsimple", "n": "157", "digits": [3, 0, 3, 1]}\n', "")
+    assert run(capsys, ["urep", *NS31, "--n", "157", "--format", "csv"]) == (EX_OK, "3,0,3,1\n", "")
+
+
+def test_urep_rejects_negative_n(capsys):
+    assert run(capsys, ["urep", *NS31, "--n", "-3"]) == (
+        EX_USAGE, "", "error: n must be nonnegative, got -3\n")
+
+
 # --- word ----------------------------------------------------------------------
 
 def test_word_w_nonsimple(capsys):
@@ -217,6 +228,13 @@ def test_maxac_json(capsys):
     assert payload["max_ac"] == 3 and payload["balance_bound"] == 2
 
 
+def test_maxac_exact_bytes(capsys):
+    assert run(capsys, ["maxac", *NS31, "--format", "csv"]) == (
+        EX_OK, "max_ac,balance_bound\n3,2\n", "")
+    assert run(capsys, ["maxac", *NS31, "--format", "json"]) == (
+        EX_OK, '{"p": 3, "q": 1, "family": "nonsimple", "max_ac": 3, "balance_bound": 2}\n', "")
+
+
 # --- oracle ----------------------------------------------------------------------
 
 def test_oracle_fixed_prefix(capsys):
@@ -229,6 +247,13 @@ def test_oracle_stabilized(capsys):
     code, out, _ = run(capsys, ["oracle", *NS31, "--n", "7"])
     assert code == EX_OK
     assert "ac=3" in out and "stabilized=true" in out
+
+
+def test_oracle_plain_line(capsys):
+    line = "n=7 min_b=1 max_b=3 ac=3 prefix_len_used=48 stabilized="
+    assert run(capsys, ["oracle", *NS31, "--n", "7"]) == (EX_OK, line + "true\n", "")
+    assert run(capsys, ["oracle", *NS31, "--n", "7", "--prefix-len", "48"]) == (
+        EX_OK, line + "false\n", "")
 
 
 def test_oracle_csv(capsys):
@@ -302,6 +327,14 @@ def test_ac_runs_without_numpy():
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, [])
     assert code == EX_USAGE
+
+
+def test_calls_after_a_usage_error_parse_afresh(capsys):
+    # one parser serves every call in a process
+    assert run(capsys, ["ac", *NS31, "--n", "1", "--bogus"])[0] == EX_USAGE
+    assert run(capsys, ["urep", *S32, "--n", "5", "--format", "json"]) == (
+        EX_OK, '{"p": 3, "q": 2, "family": "simple", "n": "5", "digits": [1, 1]}\n', "")
+    assert run(capsys, ["ac", *NS31, "--n", "7"]) == (EX_OK, "7 3 closed_form\n", "")
 
 
 def test_invalid_family_combination(capsys):

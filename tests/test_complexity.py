@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from parryac import (
@@ -16,10 +18,17 @@ from parryac import (
     ac_via_prefix_counts,
     balance_bound,
     choose_k_nonsimple,
+    choose_mn_simple,
     make_morphism,
     max_ac,
+    normal_u_rep,
     oracle_ac,
+    prefix_b_count,
+    prefix_decomposition,
     u_value,
+    v_b_count_simple,
+    w_b_count_nonsimple,
+    w_b_count_simple,
     w_stage_length_nonsimple,
     wv_stage_length_simple,
 )
@@ -331,3 +340,43 @@ def test_telescoping_identity(m):
 def test_closed_form_equals_oracle_spot(m):
     for n in range(1, 501):
         assert ac(m, n).value == oracle_ac(m, n).ac
+
+
+# --- lengths must be integers ----------------------------------------------------------------
+
+_NS31, _S32, _S41 = (make_morphism(3, 1, "nonsimple"), make_morphism(3, 2, "simple"),
+                     make_morphism(4, 1, "simple"))
+_LENGTH_TAKERS = {
+    "normal_u_rep": lambda n: normal_u_rep(_NS31, n),
+    "prefix_b_count": lambda n: prefix_b_count(_NS31, n),
+    "top_index": lambda n: top_index(_NS31, n),
+    "prefix_decomposition": lambda n: prefix_decomposition(_NS31, n),
+    "choose_k_nonsimple": lambda n: choose_k_nonsimple(_NS31, n),
+    "choose_mn_simple": lambda n: choose_mn_simple(_S32, n),
+    "ac_nonsimple": lambda n: ac_nonsimple(_NS31, n),
+    "ac_via_prefix_counts nonsimple": lambda n: ac_via_prefix_counts(_NS31, n),
+    "ac_via_prefix_counts simple": lambda n: ac_via_prefix_counts(_S32, n),
+    "ac_range start": lambda n: list(ac_range(_NS31, n, 9)),
+    "ac_range stop": lambda n: list(ac_range(_S32, 1, n)),
+    "ac_range sturmian": lambda n: list(ac_range(_S41, n, 9)),
+    "w_b_count_nonsimple": lambda n: w_b_count_nonsimple(_NS31, n, 3),
+    "v_b_count_simple": lambda n: v_b_count_simple(_S32, n, 0),
+    "w_b_count_simple": lambda n: w_b_count_simple(_S32, n, 1),
+    "ac nonsimple": lambda n: ac(_NS31, n),
+    "ac simple": lambda n: ac(_S32, n),
+    "ac sturmian": lambda n: ac(_S41, n),
+}
+
+
+@pytest.mark.parametrize("n", [7.0, 7.5, Fraction(15, 2)], ids=["7.0", "7.5", "15/2"])
+@pytest.mark.parametrize("name", list(_LENGTH_TAKERS))
+def test_non_integer_length_raises_type_error(name, n):
+    # a prefix has a whole number of letters; answering for floor(n) would hide the error
+    with pytest.raises(TypeError):
+        _LENGTH_TAKERS[name](n)
+
+
+def test_numpy_integer_lengths_are_accepted():
+    np = pytest.importorskip("numpy")
+    for name, call in _LENGTH_TAKERS.items():
+        assert call(np.int64(7)) == call(7), name
