@@ -150,6 +150,7 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     """
     if m.family is not Family.NONSIMPLE:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     record = next(_nonsimple_stages(_top_rows(m, n), k))
@@ -185,6 +186,7 @@ def ac(m: Morphism, n: int) -> ACResult:
     non-simple go through their closed forms.  n must be >= 1: the
     complexity is defined over positive lengths only.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(
             f"n must be a positive integer, got {n}; Abelian complexity is "
@@ -199,6 +201,7 @@ def ac_via_prefix_counts(m: Morphism, n: int) -> int:
     the closed form everywhere.  For the non-simple family |v_n|_B is the
     B-count of the fixed-point prefix itself.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m.family is Family.NONSIMPLE:

@@ -85,6 +85,7 @@ def choose_k_nonsimple(m: Morphism, n: int) -> int:
     test asserts the complexity value is invariant across admissible k.
     """
     _require_family(m, Family.NONSIMPLE, "choose_k_nonsimple")
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return top_index(m, n) + 2
@@ -176,6 +177,7 @@ def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     |v^(-1)| is taken to be 1.
     """
     _require_simple_extremal(m, "choose_mn_simple")
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     rows = _top_rows(m, n)

@@ -17,24 +17,19 @@ places as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1} and down i places by one
 exact division by d^i.  Each morphism keeps one plan, built whole, with
 the rows j < 128: they cover every n below about 2^88 and end every pass.
 
-Above the list, the greedy pass (`b_weights`, and `digit_lists` with
-the digits) walks down in blocks of b places, b about 128 bits' worth and
-at least 4.  Place lo + i of a block is U_{lo+i} = u0_i s_lo + u1_i
-s_{lo-1} with small integers u0_i, u1_i, so the block's digits collapse
-to one exact update x -= X s_lo + Y s_{lo-1}, X = sum d_i u0_i and Y =
-sum d_i u1_i, and the weight sum_j d_j |phi^j(A)|_B to another (one sum
-of the digits against coefficients packed side by side gives all four);
-the window then moves down b places by one exact division by d^b.  The
-digits come from x, s_lo and s_{lo-1} cut to their top bits (x >> S and
-so on, G bits for s_lo).  The cut puts x / 2^S in [x', x' + 1) and
-U_{lo+i} / 2^S in [U' + low_i, U' + high_i], low_i and high_i the sums of
-the negative and the positive coefficients, and each digit d taken widens
-the interval of the rest by d high_i below and by -d low_i above.  A
-digit is certified when that whole interval lies in [0, U' + low_i); a
-block with an uncertified digit is redone with exact divmod.  The
-widening stays below 2^(G-64-log2 beta) units, so that happens about once
-in 2^64 places, and at inputs that sit on a place's edge, such as U_j or
-U_j - 1.
+Above the list, the greedy pass (`b_weights`, and `digit_lists` with the
+digits) splits the places at the largest h = 128 2^k below the top and
+recurses.  The digits at places >= h are the greedy digits of one integer
+m, and with W(m) = sum_i e_i |phi^i(A)|_B over them, U_{i+h} = U_i U_h -
+c s_{i-1} s_{h-1} (c = d, or 1 + t + d in the simple family) gives
+
+    x = f(m) + r,  f(m) = m U_h - c s_{h-1} W(m),  0 <= r < U_h,
+    W(x) = W(m) s_h + (m - (t + simple) W(m)) s_{h-1} + W(r).
+
+f(m) is the length of phi^h of the length-m prefix, so m is the largest
+with f(m) <= x; the odometer steps the digits of its estimate x U_h /
+U_{2h} to it.  With U_h / U_{2h} by Newton's iteration, once per pass, a
+node costs O(1) products no larger than itself: O(M(L) log L) for L bits.
 
 Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
 d x_k.  Summed over k, that gives x_0 + ... + x_k = (x_0 + x_1 - t x_0 +
@@ -54,33 +49,30 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import repeat
-from operator import add, floordiv, index, itemgetter, mul, sub
+from itertools import islice, repeat
+from operator import index, itemgetter, mul
 from typing import Sequence
 
 from .words import Family, Morphism
 
-#: Rows j below this are kept per morphism; places at or above it are
-#: reached from windows.
+#: Rows j below this are kept per morphism; the greedy pass splits the
+#: places above it at _LOW_PLACES 2^k.
 _LOW_PLACES = 128
-#: Bits of n that one block of places spans, and the guard bits that the
-#: truncated values carry beyond their error bounds.
-_BLOCK_BITS = 128
-_GUARD_BITS = 64
+#: Single odometer steps that a split may take after its correction jump.
+_MAX_STEPS = 8
 
 
 class _Plan:
-    """One morphism's recurrence, its rows j < 128 and its block of places.
+    """One morphism's recurrence and its rows j < 128.
 
-    s holds s_{-1}, s_0, ... and q_coef Q_{-1} = 1, Q_i = -d s_{i-1}, at
-    index i + 1, for the rows j < 128 and for one block: a window (s_k,
-    s_{k-1}) gives s_{k+i} = s_i s_k + Q_i s_{k-1}.  places holds (U_j,
-    |phi^j(A)|_B) for j < 128.  The block columns u0, u1 and packed hold
-    offsets width - 1 down to 0, top first.
+    s holds s_{-1}, s_0, ..., s_128 and q_coef Q_{-1} = 1, Q_i = -d s_{i-1},
+    at index i + 1: a window (s_k, s_{k-1}) gives s_{k+i} = s_i s_k + Q_i
+    s_{k-1}.  places holds (U_j, |phi^j(A)|_B) for j < 128.  gap is c in
+    U_{i+h} = U_i U_h - c s_{i-1} s_{h-1}.
     """
 
     __slots__ = ("m", "simple", "trace", "det", "steps", "log2_beta", "s", "q_coef", "places",
-                 "width", "precision", "u0", "u1", "field", "packed", "star")
+                 "gap", "star")
 
     def __init__(self, m: Morphism):
         self.m = m
@@ -88,33 +80,12 @@ class _Plan:
         self.trace, self.det = trace, det = m.p + 1 - simple, m.p - m.q if not simple else -m.q
         self.steps = (trace, det), (trace * trace - 2 * det, det * det)  # of M and of M^2
         self.log2_beta = math.log2(trace) + math.log2((1 + math.sqrt(1 - 4 * det / trace ** 2)) / 2)
-        # wide places still take a few per block, to share each window step
-        self.width = width = max(4, int(_BLOCK_BITS / self.log2_beta))
         s = [0, 1]  # s_{-1}, s_0, ...
-        while len(s) < max(_LOW_PLACES, width) + 2:
+        while len(s) < _LOW_PLACES + 2:
             s.append(trace * s[-1] - det * s[-2])
-        q_coef = [1, *(-det * s_i for s_i in s[:-1])]  # Q_{-1}, Q_0, ...
-        self.s, self.q_coef = s, q_coef
+        self.s, self.q_coef = s, [1, *(-det * s_i for s_i in s[:-1])]  # Q_{-1}, Q_0, ...
         self.places = [(s[j + 1] + simple * s[j], s[j]) for j in range(_LOW_PLACES)]
-        top_first = range(width, 0, -1)  # i + 1 for i = width - 1 .. 0
-        self.u0 = u0 = tuple(s[i] + simple * s[i - 1] for i in top_first)
-        self.u1 = u1 = tuple(q_coef[i] + simple * q_coef[i - 1] for i in top_first)
-        # u0 >= 0, and u1 >= 0 (simple) or <= 0 (non-simple): the pass relies on it
-        assert min(u0) >= 0 and (min(u1) >= 0 if simple else max(u1) <= 0), m
-        # the bound on a block's error, and room for rests as small as U_lo / beta,
-        # which digit strings near Parry's quasi-greedy one leave at every place
-        spread = 1 + m.p * sum(u0) + m.p * sum(map(abs, u1))
-        # |phi^j(A)|_B = s_{j-1} has coefficients s_{i-1} and Q_{i-1}, no larger
-        # than u0 and |u1|, and Q_{i-1} has u1's sign but at i = 0 (Q_{-1} = 1),
-        # which the pass adds apart in the non-simple family.  A block's digits
-        # are at most p + 1, even from truncated values below U_{top+1}, so with
-        # fields of 2 spread one sum of the digits times `packed` gives all
-        # four of a block's sums without carries between them.
-        self.field = field = (2 * spread).bit_length()
-        self.packed = tuple(a + (abs(b) << field) + (s[i - 1] << 2 * field)
-                            + ((abs(q_coef[i - 1]) if simple or i > 1 else 0) << 3 * field)
-                            for a, b, i in zip(u0, u1, top_first))
-        self.precision = spread.bit_length() + math.ceil(self.log2_beta) + _GUARD_BITS  # G
+        self.gap = 1 + trace + det if simple else det
         self.star = m.p, m.q - simple  # the first two letters of d*, for the odometer
 
     # The odometer: n -> n + 1 and n -> n - 1 on greedy digits kept least
@@ -184,26 +155,29 @@ class _Plan:
 _plan = lru_cache(maxsize=None)(_Plan)
 
 
+def _double(plan: _Plan, s: int, s1: int, bit: int) -> tuple[int, int]:
+    """(s_{2j+bit}, s_{2j+bit-1}) from the window (s_j, s_{j-1})."""
+    # s_{2j} = s_j^2 - d s_{j-1}^2, s_{2j+1} = s_j (t s_j - 2d s_{j-1})
+    # and s_{2j-1} = s_{j-1} (2 s_j - t s_{j-1})
+    even = s * s - plan.det * (s1 * s1)
+    if bit:
+        return s * (plan.trace * s - 2 * plan.det * s1), even
+    return even, s1 * (2 * s - plan.trace * s1)
+
+
 def _window(plan: _Plan, k: int) -> tuple[int, int]:
     """(s_k, s_{k-1}) for k >= 0, by doubling from a window of the s list."""
     if k + 1 < len(plan.s):
         return plan.s[k + 1], plan.s[k]
-    trace, det = plan.trace, plan.det
     shift = k.bit_length() - 7
     s, s1 = _window(plan, k >> shift)
     for bit in range(shift - 1, -1, -1):
-        # s_{2j} = s_j^2 - d s_{j-1}^2, s_{2j+1} = s_j (t s_j - 2d s_{j-1})
-        # and s_{2j-1} = s_{j-1} (2 s_j - t s_{j-1})
-        even = s * s - det * (s1 * s1)
-        if k >> bit & 1:
-            s, s1 = s * (trace * s - 2 * det * s1), even
-        else:
-            s, s1 = even, s1 * (2 * s - trace * s1)
+        s, s1 = _double(plan, s, s1, k >> bit & 1)
     return s, s1
 
 
 def _step_down(plan: _Plan, s0: int, s1: int, places: int) -> tuple[int, int]:
-    """The window `places` (<= width) below (s0, s1), by one exact division by d^places."""
+    """The window `places` (<= 128) below (s0, s1), by one exact division by d^places."""
     s, q_coef = plan.s, plan.q_coef
     divisor = plan.det ** places
     return ((q_coef[places] * s0 - q_coef[places + 1] * s1) // divisor,
@@ -213,20 +187,17 @@ def _step_down(plan: _Plan, s0: int, s1: int, places: int) -> tuple[int, int]:
 class Rows:
     """The rows (1, 0) M^j of one morphism, read from one window at place `top`.
 
-    The greedy pass reads places top down to 0; a stage reads U_j and
-    sums for j from top - 2 to top + 4.  Rows j < 128 come from the plan,
-    the others from the window (s_top, s_{top-1}): above it as s_{top+i} =
-    s_i s_top + Q_i s_{top-1}, up to a block below it by one _step_down
-    (farther off by doubling).  `at` moves to a nearby top the same way, so
-    a walk over stages pays for one window by doubling.  `low` holds (U_j,
-    |phi^j(A)|_B) for the list's places min(top, 127) down to 0.
+    A stage reads U_j and sums for j from top - 2 to top + 4.  Rows j < 128
+    come from the plan, the others from the window (s_top, s_{top-1}): above
+    it as s_{top+i} = s_i s_top + Q_i s_{top-1}, up to 128 places below it
+    by one _step_down (farther off by doubling).  `at` moves to a nearby top
+    the same way, so a walk over stages pays for one window by doubling.
     """
 
-    __slots__ = ("m", "top", "low", "_plan", "_s_top", "_s_prev")
+    __slots__ = ("m", "top", "_plan", "_s_top", "_s_prev")
 
     def __init__(self, plan: _Plan, top: int, window: tuple[int, int] | None = None):
         self.m, self.top, self._plan = plan.m, top, plan
-        self.low = plan.places[min(top, _LOW_PLACES - 1)::-1]
         self._s_top, self._s_prev = window or _window(plan, top)
 
     def window(self, j: int) -> tuple[int, int]:
@@ -236,7 +207,7 @@ class Rows:
         if 0 <= i < len(plan.s) - 1:
             s, q_coef, s_top, s_prev = plan.s, plan.q_coef, self._s_top, self._s_prev
             return s[i + 1] * s_top + q_coef[i + 1] * s_prev, s[i] * s_top + q_coef[i] * s_prev
-        if -plan.width <= i < 0:
+        if -_LOW_PLACES <= i < 0:
             return _step_down(plan, self._s_top, self._s_prev, -i)
         return _window(plan, j)  # far from the window, as for an explicit k in ac_nonsimple
 
@@ -334,10 +305,12 @@ def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     leading zero digits add nothing, so any top that covers x and y gives
     the same sums.
     """
+    plan, top = rows._plan, rows.top
+    if top >= _LOW_PLACES:
+        splits = _splits(plan, top)
+        return _greedy(plan, splits, x, top, None), _greedy(plan, splits, y, top, None)
     weight_x = weight_y = 0
-    if rows.top >= _LOW_PLACES:
-        (x, y), (weight_x, weight_y) = _descend(rows, (x, y))
-    for u, count_b in rows.low:
+    for u, count_b in plan.places[top::-1]:
         if x >= u:
             digit, x = divmod(x, u)
             weight_x += digit * count_b
@@ -366,17 +339,10 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
 def digit_lists(rows: Rows, values: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """Each value's greedy digits over places 0 .. rows.top, least significant first,
     and its b_weights sum, from one pass; the values must be below U_{top+1}."""
+    splits = _splits(rows._plan, rows.top) if rows.top >= _LOW_PLACES else []
     digits = [[] for _ in values]
-    rests, weights = list(values), [0] * len(values)
-    if rows.top >= _LOW_PLACES:
-        rests, weights = _descend(rows, values, digits)
-    for v, rest in enumerate(rests):
-        for u, count_b in rows.low:
-            d, rest = divmod(rest, u)
-            digits[v].append(d)
-            weights[v] += d * count_b
-        digits[v].reverse()
-    return digits, weights
+    weights = [_greedy(rows._plan, splits, value, rows.top, out) for value, out in zip(values, digits)]
+    return [out[::-1] for out in digits], weights
 
 
 def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
@@ -385,13 +351,9 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     Inverse of normal_u_rep on greedy strings, but accepts any digit
     string, normal or not.
     """
-    top = len(digits) - 1
-    total = 0
-    if top >= _LOW_PLACES:
-        total = _upper_value(place_rows(m, top), digits)
-        digits = digits[top - _LOW_PLACES + 1:]
-    places = _plan(m).places
-    return total + sum(d * places[j][0] for j, d in enumerate(reversed(digits)))
+    plan = _plan(m)
+    total, weight = _columns(plan, _windows(plan, len(digits) - 1), digits, 0, len(digits))
+    return total + plan.simple * weight
 
 
 def prefix_decomposition(m: Morphism, n: int) -> tuple[tuple[int, int], ...]:
@@ -418,80 +380,117 @@ def prefix_b_count(m: Morphism, n: int) -> int:
     return b_weights(_top_rows(m, n), n)[0]
 
 
-# --- the blocked pass above the row list ---------------------------------------
+# --- the split recursion above the row list --------------------------------------
 
-def _blocks(rows: Rows):
-    """(lo, span, s_lo, s_{lo-1}) for the blocks of places rows.top .. _LOW_PLACES, top first.
+def _splits(plan: _Plan, top: int) -> list[tuple[int, ...]]:
+    """(h, U_h, G, s_{h-1}, s_h - t s_{h-1}, S) for the splits h = 128 2^k <= top of one pass.
 
-    Blocks are aligned on _LOW_PLACES, so the first may span fewer places.
+    G = c s_{h-1}, and S is 2^(2b + 40) U_h / U_{2h}, b the bits of U_h (0 at the last split).
     """
-    plan = rows._plan
-    lo = _LOW_PLACES + (rows.top - _LOW_PLACES) // plan.width * plan.width
-    s0, s1 = rows.window(lo)
-    span = rows.top - lo + 1
-    while True:
-        yield lo, span, s0, s1
-        if lo == _LOW_PLACES:
-            return
-        s0, s1 = _step_down(plan, s0, s1, plan.width)
-        lo, span = lo - plan.width, plan.width
+    windows = _windows(plan, top)
+    units = [s0 + plan.simple * s1 for s0, s1 in windows]
+    scales = [u * _inverse(double, u.bit_length() + 40) >> double.bit_length() - u.bit_length()
+              for u, double in zip(units, units[1:])]
+    return [(_LOW_PLACES << k, u, plan.gap * s1, s1, s0 - plan.trace * s1, scale)
+            for k, ((s0, s1), u, scale) in enumerate(zip(windows, units, scales + [0]))]
 
 
-def _descend(rows: Rows, values: Sequence[int],
-             digits: list[list[int]] | None = None) -> tuple[list[int], list[int]]:
-    """The greedy pass over places rows.top .. _LOW_PLACES for each value.
+def _windows(plan: _Plan, top: int) -> list[tuple[int, int]]:
+    """(s_h, s_{h-1}) for h = 128 2^k <= top, by one doubling each from the s list."""
+    windows = [(plan.s[_LOW_PLACES + 1], plan.s[_LOW_PLACES])]
+    while _LOW_PLACES << len(windows) <= top:
+        windows.append(_double(plan, *windows[-1], 0))
+    return windows
 
-    Returns each value's rest, now below U_{_LOW_PLACES}, and its
-    sum_j d_j |phi^j(A)|_B over those places.  With `digits`, one list
-    per value, each value's digits are appended to its list, top first.
+
+def _inverse(a: int, bits: int) -> int:
+    """About 2^(2 bits) / a', a' the top `bits` bits of a, by Newton's iteration from half as many."""
+    a >>= a.bit_length() - bits
+    if bits <= 256:
+        return (1 << 2 * bits) // a
+    half = bits // 2 + 16
+    y = _inverse(a, half) << bits - half
+    return y + (y * ((1 << 2 * bits) - a * y) >> 2 * bits)
+
+
+def _quotient(x: int, u: int, g: int, s1: int, scale: int) -> int:
+    """About x U_h / U_{2h} = x U_h / (U_h^2 - G s_{h-1}), the m with f(m) = x, to a unit or two.
+
+    Cut to 40 bits more than the quotient has, by S where the split has one.
     """
-    plan = rows._plan
-    simple, field = plan.simple, plan.field
-    sign, mask = 2 * simple - 1, (1 << field) - 1  # the sign of u1
-    rests, weights = list(values), [0] * len(values)
-    for lo, span, s0, s1 in _blocks(rows):
-        cut = plan.width - span
-        u0, u1, packed = plan.u0[cut:], plan.u1[cut:], plan.packed[cut:]
-        shift = max(s0.bit_length() - plan.precision, 0)
-        # U_j / 2^S lies in [unit + low, unit + high], where low is the sum of
-        # the negative coefficients and high that of the positive ones: u1 in
-        # the non-simple family, none in the simple one
-        units = list(map(add, map(mul, u0, repeat(s0 >> shift)), map(mul, u1, repeat(s1 >> shift))))
-        edges = units if simple or not shift else list(map(add, units, u1))
-        for v, rest in enumerate(rests):
-            proxy = head = rest >> shift
-            remainders = [proxy := proxy % unit for unit in units]
-            block = list(map(floordiv, [head, *remainders[:-1]], units))
-            fields = sum(map(mul, block, packed))
-            x, y = fields & mask, sign * (fields >> field & mask)
-            # the rest over 2^S lies in [proxy, proxy + 1), and the digits
-            # widen that by sum d high below and by -sum d low above; a digit
-            # is certain when its widened rest lies in [0, unit + low), and
-            # unit + low <= U_j / 2^S
-            below, above = (x + simple * y, -(1 - simple) * y) if shift else (0, 0)
-            if min(remainders) >= below and max(map(sub, remainders, edges)) + above < 0:
-                rest -= x * s0 + y * s1
-            else:
-                # a rest too near a place's edge: this block by exact division
-                block = []
-                for a, b in zip(u0, u1):
-                    digit, rest = divmod(rest, a * s0 + b * s1)
-                    block.append(digit)
-                fields = sum(map(mul, block, packed))
-            rests[v] = rest
-            weights[v] += ((fields >> 2 * field & mask) * s0
-                           + (sign * (fields >> 3 * field) + (1 - simple) * block[-1]) * s1)
-            if digits is not None:
-                digits[v] += block
-    return rests, weights
+    cut = max(u.bit_length() - max(x.bit_length() - u.bit_length(), 0) - 40, 0)
+    if scale:
+        return (x >> cut) * (scale >> cut) >> 2 * (u.bit_length() - cut) + 40
+    u >>= cut
+    return (x >> cut) * u // (u * u - (g >> cut) * (s1 >> cut))
 
 
-def _upper_value(rows: Rows, digits: Sequence[int]) -> int:
-    """sum d_j U_j over the places rows.top .. _LOW_PLACES of a top-first digit string."""
-    plan = rows._plan
-    total = 0
-    for lo, span, s0, s1 in _blocks(rows):
-        cut = plan.width - span
-        block = digits[rows.top - lo - span + 1:rows.top - lo + 1]
-        total += sum(map(mul, block, plan.u0[cut:])) * s0 + sum(map(mul, block, plan.u1[cut:])) * s1
-    return total
+def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int, out: list[int] | None) -> int:
+    """The W of x < U_{top+1}, appending its digits over places top .. 0 to out, top first, if given."""
+    if top < _LOW_PLACES:
+        weight = 0
+        for u, count_b in plan.places[top::-1]:
+            if out is not None:
+                digit, x = divmod(x, u)
+                out.append(digit)
+                weight += digit * count_b
+            elif x >= u:  # W alone: a zero digit costs one comparison
+                digit, x = divmod(x, u)
+                weight += digit * count_b
+        return weight
+    shifted, rest, h = _top_part(plan, splits, x, top, out)
+    return shifted + _greedy(plan, splits, rest, h - 1, out)
+
+
+def _top_part(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int,
+              out: list[int] | None) -> tuple[int, int, int]:
+    """(W of x's digits at places >= h, x - f(m), h), h the largest split <= top, m the largest f(m) <= x.
+
+    The estimate's digits, with a spare place, go to out (or a new list) and are stepped to m lowest first.
+    """
+    h, u, g, s1, lag, scale = splits[(top // _LOW_PLACES).bit_length() - 1]
+    digits = [] if out is None else out
+    start, m = len(digits), max(_quotient(x, u, g, s1, scale), 0)
+    weight = _greedy(plan, splits, m, top - h + 1, digits)
+    rest = x - m * u + g * weight
+    if 0 <= rest < u - g:
+        assert digits[start] == 0, (plan.m, top)
+        del digits[start]
+    else:
+        # f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m)), and W moves by 0 or 1
+        low = digits[:start - 1:-1] if start else digits[::-1]
+        low.append(0)  # room for a scan past the top of a simple-family run
+        jump = max(_quotient(rest, u, g, s1, scale), -m) if rest < 0 or rest >= u else 0
+        assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few
+        gain = sum(plan.up(low) for _ in range(jump)) + sum(plan.down(low) for _ in range(-jump))
+        m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain
+        for _ in range(_MAX_STEPS + 1):
+            step = -1 if rest < 0 else 1 if rest >= u - g else 0
+            if not step:
+                break
+            gain = plan.down(low) if step < 0 else plan.up(low)
+            if step > 0 and rest < u - g * gain:  # f(m + 1) > x
+                plan.down(low)
+                break
+            m, weight, rest = m + step, weight + gain, rest - step * u + g * gain
+        else:
+            raise AssertionError(f"{plan.m}: no split at place {h} within {_MAX_STEPS} steps")
+        assert not any(low[top - h + 1:]), (plan.m, top)
+        del digits[start:], low[top - h + 1:]
+        digits.extend(reversed(low))
+    return s1 * (m - plan.simple * weight) + lag * weight, rest, h
+
+
+def _columns(plan: _Plan, windows: list[tuple[int, int]], digits: Sequence[int],
+             start: int, stop: int) -> tuple[int, int]:
+    """(sum d_j s_j, sum d_j s_{j-1}) over top-first digits[start:stop], any digits alike."""
+    top = stop - start - 1
+    if top < _LOW_PLACES:
+        low = digits[start:stop][::-1]
+        return sum(map(mul, low, islice(plan.s, 1, None))), sum(map(mul, low, plan.s))
+    k = (top // _LOW_PLACES).bit_length() - 1
+    (s0, s1), h = windows[k], _LOW_PLACES << k
+    high, weight = _columns(plan, windows, digits, start, stop - h)
+    rest_high, rest_weight = _columns(plan, windows, digits, stop - h, stop)
+    return (s0 * high - plan.det * s1 * weight + rest_high,
+            s1 * high + (s0 - plan.trace * s1) * weight + rest_weight)

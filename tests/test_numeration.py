@@ -27,7 +27,7 @@ from parryac import (
     u_value,
 )
 from parryac import numeration
-from parryac.numeration import _blocks, _plan, b_weights, place_rows, top_index
+from parryac.numeration import _plan, b_weights, digit_lists, place_rows, top_index
 from parryac.words import apply
 
 from conftest import (
@@ -235,10 +235,10 @@ def test_negative_n_is_rejected(m, n):
 
 def test_no_numeration_structure_grows_with_n():
     # each morphism keeps one plan, fixed in size: the rows j < 128 and an s
-    # list that reaches one block past them; no call leaves anything behind
-    # that grows with n
+    # list that reaches s_128; no call leaves anything behind that grows with
+    # n, the split windows of a pass included
     m = make_morphism(5, 2, "nonsimple")
-    ac(m, 10 ** 300)  # past place 128: the plan exists and the blocked pass has run
+    ac(m, 10 ** 300)  # past place 128: the plan exists and the split pass has run
     gc.collect()
     tracemalloc.start()
     try:
@@ -256,13 +256,13 @@ def test_no_numeration_structure_grows_with_n():
     assert kept < 16 * 2 ** 10, kept
     plan = _plan(m)
     assert len(plan.places) == 128
-    assert len(plan.s) <= max(128, plan.width) + 2
+    assert len(plan.s) <= 130
 
 
 @pytest.mark.parametrize("m", BASELINE, ids=str)
 def test_large_n_runs_in_a_few_megabytes(m):
     n = 7 * 10 ** 9999 + 12345
-    ac(m, 10 ** 300)  # past place 128: the plan exists and the blocked pass has run
+    ac(m, 10 ** 300)  # past place 128: the plan exists and the split pass has run
     tracemalloc.start()
     try:
         ac(m, n)
@@ -276,26 +276,34 @@ def test_large_n_runs_in_a_few_megabytes(m):
 @pytest.mark.parametrize("m", BASELINE, ids=str)
 def test_one_top_window_per_call(m, monkeypatch):
     # past the s list a window comes by doubling; a call takes one for n's top
-    # and reaches every other row it reads from that one
-    window, doublings = numeration._window, []
+    # and reaches every other row it reads from that one.  Each greedy pass
+    # builds its own chain of split windows once, apart from those.
+    window, splits, doublings, chains = numeration._window, numeration._splits, [], []
 
     def counted(plan, k):
         doublings.append(k + 1 >= len(plan.s))
         return window(plan, k)
 
+    def chain(plan, top):
+        chains.append(top)
+        return splits(plan, top)
+
     def count(call, *args):
         doublings.clear()
+        chains.clear()
         call(m, *args)
-        return sum(doublings)
+        return sum(doublings), len(chains)
 
     monkeypatch.setattr(numeration, "_window", counted)
+    monkeypatch.setattr(numeration, "_splits", chain)
     n = 7 * 10 ** 1999 + 12345
-    assert count(ac, n) == 1
+    # one pass for the digits of both x and y
+    assert count(ac, n) == (1, 1)
     # the odometer's first digits come from the pass on the record's rows
-    assert count(lambda *args: list(ac_range(*args)), n, n + 50) == 1
+    assert count(lambda *args: list(ac_range(*args)), n, n + 50) == (1, 1)
     # the choice of stage, then |w_n|_B and |v_n|_B at their stages (non-simple:
-    # |v_n|_B = prefix_b_count(n))
-    assert count(ac_via_prefix_counts, n) == 3
+    # |v_n|_B = prefix_b_count(n)), one pass each
+    assert count(ac_via_prefix_counts, n) == (3, 2)
 
 
 # --- the odometer ---------------------------------------------------------------------
@@ -345,9 +353,10 @@ def test_odometer_steps_greedy_digits(m):
 # --- large-n certificates ----------------------------------------------------------
 
 #: The baseline three, two non-simple morphisms with d = p - q > 1 (one with
-#: places of about 20 bits), a simple one whose every place spans more than
-#: 64 bits, and simple (1, 1), whose blocks of 184 places are wider than the
-#: row list, so its s list reaches past place 128, to place 184.
+#: places of about 20 bits, whose split estimates are off by about one unit
+#: per place of m, so that the correction jump does the work), a simple one
+#: whose every place spans more than 64 bits, and simple (1, 1), whose places
+#: span under one bit each.
 CERTIFIED = BASELINE + [make_morphism(7, 3, "nonsimple"), make_morphism(10 ** 6, 1, "nonsimple"),
                         make_morphism(2 ** 70, 3, "simple"), make_morphism(1, 1, "simple")]
 
@@ -376,7 +385,7 @@ def test_place_rows_read_every_place_from_any_top(m):
 @pytest.mark.parametrize("m", CERTIFIED, ids=str)
 def test_greedy_digits_certified_around_u(m):
     # U_j - 1, U_j and U_j + 1 sit on a place's edge; j <= 600 crosses the
-    # end of the row list and many block edges
+    # end of the row list and the splits at 128, 256 and 512
     for j, (a, b) in zip(range(601), ref_rows(m)):
         for n in (a + b - 1, a + b, a + b + 1):
             _assert_certified(m, n)
@@ -390,32 +399,86 @@ def test_greedy_digits_certified_at_large_n(m):
         _assert_certified(m, rng.randrange(10 ** (digits - 1), 10 ** digits))
 
 
-def _places_on_their_lower_bound(m, top):
-    # places j <= top where U_j / 2^S lies less than one unit above the lower
-    # bound unit + u1 of its truncated value, for the pass's own blocks and S
-    plan = _plan(m)
-    found = []
-    for lo, span, s0, s1 in _blocks(place_rows(m, top)):
-        shift = max(s0.bit_length() - plan.precision, 0)
-        cut = plan.width - span
-        for offset, a, b in zip(range(span - 1, -1, -1), plan.u0[cut:], plan.u1[cut:]):
-            unit = a * (s0 >> shift) + b * (s1 >> shift)
-            if shift and (a * s0 + b * s1) - ((unit + b) << shift) < 1 << shift:
-                found.append(lo + offset)
-    return found
+#: Places j <= 2600 where the blocked certificate of an earlier greedy pass
+#: had no unit to spare at n = U_j: the truncated value of U_j overstated it
+#: by all but under one unit (only non-simple places have a negative
+#: coefficient to allow that).  Frozen from that pass, as inputs that once
+#: sat on an edge.
+_LOWER_BOUND_PLACES = {
+    (2, 1): [2520, 2428, 2336, 2244, 2152, 2061, 2060, 1968, 1876, 1785, 1784, 1692, 1600, 1508,
+             1416, 1324, 1232, 1140, 1048, 956, 864, 772, 680, 588, 496, 404, 312, 220],
+    (5, 2): [2572, 2521, 2520, 2468, 2416, 2364, 2312, 2261, 2260, 2208, 2156, 2104, 2052, 2000,
+             1948, 1896, 1844, 1792, 1740, 1688, 1636, 1584, 1533, 1532, 1480, 1428, 1376, 1324,
+             1272, 1220, 1168, 1116, 1064, 1012, 960, 908, 856, 804, 752, 700, 648, 596, 544, 492,
+             440, 388, 336, 284, 232, 180, 128],
+    (7, 3): [2592, 2548, 2504, 2460, 2416, 2372, 2328, 2284, 2240, 2196, 2152, 2108, 2064, 2020,
+             1976, 1932, 1888, 1844, 1800, 1756, 1712, 1668, 1624, 1580, 1537, 1536, 1492, 1448,
+             1404, 1360, 1316, 1272, 1228, 1184, 1140, 1096, 1052, 1008, 964, 920, 876, 832, 788,
+             744, 700, 656, 612, 568, 524, 480, 436, 392, 348, 304, 260, 216, 172, 128],
+}
 
 
-@pytest.mark.parametrize("m", [make_morphism(p, q, "nonsimple") for p, q in ((2, 1), (5, 2), (7, 3))],
+@pytest.mark.parametrize("m", [make_morphism(p, q, "nonsimple") for p, q in _LOWER_BOUND_PLACES],
                          ids=str)
 def test_greedy_digits_certified_where_a_place_sits_on_its_lower_bound(m):
-    # the certificate's upper margin has no unit to spare at n = U_j for
-    # these j: the truncated value overstates U_j by all but under one unit
-    # (only non-simple places have a negative coefficient to allow that)
-    places = _places_on_their_lower_bound(m, 2600)
-    assert places
-    for j in places:
+    for j in _LOWER_BOUND_PLACES[m.p, m.q]:
         for n in (u_value(m, j), u_value(m, j) + 1):
             _assert_certified(m, n)
+
+
+# --- the split recursion -------------------------------------------------------------
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_greedy_digits_certified_around_the_splits(m):
+    # U_j - 1, U_j and U_j + 1 for j next to a split place 128 2^k, where the
+    # top part m has the fewest or the most places a split leaves it
+    for j in sorted({128 * 2 ** k + offset for k in range(6) for offset in (-1, 0, 1)}):
+        u = u_value(m, j)
+        for n in (u - 1, u, u + 1):
+            _assert_certified(m, n)
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_digit_lists_and_b_weights_match_reference_sums(m):
+    # two values per pass, one of them far below the top
+    rng = random.Random(m.p % 997 * 31 + m.q)
+    for low, high in ((500, 2000), (2000, 8000), (8000, 30000)):
+        digits = rng.randrange(low, high + 1)
+        x = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        y = rng.randrange(10 ** (digits // 3))
+        rows = place_rows(m, top_index(m, x))
+        lists, weights = digit_lists(rows, (x, y))
+        assert b_weights(rows, x, y) == tuple(weights)
+        for value, found, weight in zip((x, y), lists, weights):
+            assert len(found) == rows.top + 1
+            assert ref_digit_sums(m, found[::-1]) == (value, weight), digits
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_u_rep_value_of_long_non_normal_strings(m):
+    # digits up to 2p + 3 over up to 1300 places: two splits deep, no string greedy
+    rng = random.Random(m.q)
+    for places in (301, 700, 1300):
+        digits = [rng.randrange(2 * m.p + 4) for _ in range(places)]
+        assert u_rep_value(m, digits) == ref_digit_sums(m, digits)[0], places
+
+
+@pytest.mark.parametrize("offset, exact", [(-4, True), (4, True), (-12, False), (12, False)])
+def test_split_estimates_take_at_most_eight_steps(monkeypatch, offset, exact):
+    # a split's estimate and its correction jump land within a unit or two of
+    # m; eight single steps absorb an error of 4 more, and an error of 12 fails
+    # loudly instead of stepping on
+    m = make_morphism(3, 1, "nonsimple")
+    n = 7 * 10 ** 999 + 12345
+    expected = normal_u_rep(m, n)
+    quotient = numeration._quotient
+    monkeypatch.setattr(numeration, "_quotient", lambda *args: quotient(*args) + offset)
+    assert numeration._MAX_STEPS == 8
+    if exact:
+        assert normal_u_rep(m, n) == expected
+    else:
+        with pytest.raises(AssertionError, match="within 8 steps"):
+            normal_u_rep(m, n)
 
 
 def test_concurrent_cold_start_keeps_u_values_exact():
