@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 from .extremal import (
@@ -46,7 +45,7 @@ from .extremal import (
     w_b_count_simple,
 )
 from .numeration import Rows, _top_rows, b_weights, digit_lists, prefix_b_count
-from .words import Family, Morphism, UnsupportedConstructionError, V, W
+from .words import Family, Morphism, UnsupportedConstructionError, V, W, _integer
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_STURMIAN = "sturmian"
@@ -150,9 +149,7 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     """
     if m.family is not Family.NONSIMPLE:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n, k = _integer(n, "n"), None if k is None else _integer(k, "k", 0)
     record = next(_nonsimple_stages(_top_rows(m, n), k))
     if n >= record[3]:  # record[3] is |w^(k)| + 1, and only an explicit k can fail
         raise ValueError(f"k={k} is inadmissible: n={n} exceeds |w^({k})|={record[3] - 1}")
@@ -166,9 +163,7 @@ def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     stays constant however long the range.  Raises at once: TypeError
     unless start and stop are integers, ValueError unless 1 <= start <= stop.
     """
-    start, stop = index(start), index(stop)
-    if start < 1:
-        raise ValueError(f"start must be a positive integer, got {start}")
+    start, stop = _integer(start, "start"), _integer(stop, "stop", None)
     if stop < start:
         raise ValueError(f"stop={stop} is below start={start}")
     lengths = range(start, stop + 1)
@@ -186,11 +181,7 @@ def ac(m: Morphism, n: int) -> ACResult:
     non-simple go through their closed forms.  n must be >= 1: the
     complexity is defined over positive lengths only.
     """
-    n = index(n)
-    if n < 1:
-        raise ValueError(
-            f"n must be a positive integer, got {n}; Abelian complexity is "
-            "defined only for factor lengths n >= 1")
+    n = _integer(n, "n")
     return next(ac_range(m, n, n))
 
 
@@ -201,9 +192,7 @@ def ac_via_prefix_counts(m: Morphism, n: int) -> int:
     the closed form everywhere.  For the non-simple family |v_n|_B is the
     B-count of the fixed-point prefix itself.
     """
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer(n, "n")
     if m.family is Family.NONSIMPLE:
         k = choose_k_nonsimple(m, n)
         return 1 + w_b_count_nonsimple(m, n, k) - prefix_b_count(m, n)

@@ -13,7 +13,6 @@ logarithmic-time complexity formulas possible.
 from __future__ import annotations
 
 from functools import partial
-from operator import index
 
 from .numeration import Rows, _top_rows, b_weights, place_rows, top_index
 from .words import (
@@ -23,6 +22,7 @@ from .words import (
     UnsupportedConstructionError,
     V,
     W,
+    _integer,
     word_prefix,
 )
 
@@ -67,8 +67,7 @@ def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
     which is |phi^j(A)|_A + (q + 1 - p) |phi^j(A)|_B by one row step.
     """
     _require_family(m, Family.NONSIMPLE, "w_stage_length_nonsimple")
-    if stage < 0:
-        raise ValueError(f"stage must be nonnegative, got {stage}")
+    stage = _integer(stage, "stage", 0)
     return _w_stage_length(place_rows(m, stage), stage)
 
 
@@ -85,10 +84,7 @@ def choose_k_nonsimple(m: Morphism, n: int) -> int:
     test asserts the complexity value is invariant across admissible k.
     """
     _require_family(m, Family.NONSIMPLE, "choose_k_nonsimple")
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return top_index(m, n) + 2
+    return top_index(m, _integer(n, "n")) + 2
 
 
 def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
@@ -99,11 +95,7 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     U_{j-1} = |phi^j(A)|_B in this family.
     """
     _require_family(m, Family.NONSIMPLE, "w_b_count_nonsimple")
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    n, k = _integer(n, "n"), _integer(k, "k", 0)
     rows = place_rows(m, k)
     if n > _w_stage_length(rows, k):
         raise IndexError(f"n={n} exceeds |w^({k})|={_w_stage_length(rows, k)}; pick a larger k")
@@ -136,6 +128,7 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     """
     _check_which(which)
     _require_simple_extremal(m, "wv_stage_length_simple")
+    stage = _integer(stage, "stage", None)
     return _wv_stage_length(_stage_rows(m, which, stage), which, stage)
 
 
@@ -177,9 +170,7 @@ def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     |v^(-1)| is taken to be 1.
     """
     _require_simple_extremal(m, "choose_mn_simple")
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer(n, "n")
     rows = _top_rows(m, n)
     stage_length = partial(_wv_stage_length, rows)
     threshold, below, above = _split_stage(rows)
@@ -192,9 +183,7 @@ def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
 def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> int:
     """v_b_count_simple or w_b_count_simple, by `which`, with their checks."""
     _require_simple_extremal(m, operation)
-    n = index(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n, stage = _integer(n, "n"), _integer(stage, "stage", None)
     rows = _stage_rows(m, which, stage)
     low = _wv_stage_length(rows, which, stage)
     high = _wv_stage_length(rows, which, stage + 1)

@@ -53,7 +53,7 @@ from itertools import islice, repeat
 from operator import index, itemgetter, mul
 from typing import Sequence
 
-from .words import Family, Morphism
+from .words import Family, Morphism, _integer
 
 #: Rows j below this are kept per morphism; the greedy pass splits the
 #: places above it at _LOW_PLACES 2^k.
@@ -267,16 +267,13 @@ def _list_top(places: list[tuple[int, int]], n: int) -> int:
 
 def top_index(m: Morphism, n: int) -> int:
     """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
-    n = index(n)
+    n = _integer(n, "n", 0)
     places = _plan(m).places
-    return _list_top(places, n) if 0 <= n < places[-1][0] else _top_rows(m, n).top
+    return _list_top(places, n) if n < places[-1][0] else _top_rows(m, n).top
 
 
 def _top_rows(m: Morphism, n: int) -> Rows:
     """place_rows(m, top_index(m, n)), with one window for the search and the rows."""
-    n = index(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     plan = _plan(m)
     if n < plan.places[-1][0]:
         return Rows(plan, _list_top(plan.places, n))
@@ -292,8 +289,7 @@ def _top_rows(m: Morphism, n: int) -> Rows:
 
 def u_value(m: Morphism, k: int) -> int:
     """U_k = |phi^k(A)|."""
-    if k < 0:
-        raise ValueError(f"index must be nonnegative, got {k}")
+    k = _integer(k, "index", 0)
     return place_rows(m, k).u(k)
 
 
@@ -328,11 +324,11 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     min_places when that is larger.  Padding never changes the value:
     sum(d_j * U_j) == n either way.  n = 0 yields (0,).
     """
-    if min_places is not None and min_places < 1:
-        raise ValueError(f"min_places must be positive, got {min_places}")
+    n = _integer(n, "n", 0)
+    min_places = 1 if min_places is None else _integer(min_places, "min_places")
     rows = _top_rows(m, n)
     (digits,), _ = digit_lists(rows, (n,))
-    digits += repeat(0, (min_places or 0) - 1 - rows.top)
+    digits += repeat(0, min_places - 1 - rows.top)
     return tuple(reversed(digits))
 
 
@@ -349,9 +345,9 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     """sum d_j U_j for a most-significant-first digit string.
 
     Inverse of normal_u_rep on greedy strings, but accepts any digit
-    string, normal or not.
+    string, normal or not; each digit must be an integer.
     """
-    plan = _plan(m)
+    digits, plan = list(map(index, digits)), _plan(m)
     total, weight = _columns(plan, _windows(plan, len(digits) - 1), digits, 0, len(digits))
     return total + plan.simple * weight
 
@@ -363,7 +359,7 @@ def prefix_decomposition(m: Morphism, n: int) -> tuple[tuple[int, int], ...]:
     (phi^N(A))^{d_N} (phi^{N-1}(A))^{d_{N-1}} ... A^{d_0} equals the
     prefix.  Zero exponents are retained; n = 0 gives the empty tuple.
     """
-    if index(n) == 0:
+    if _integer(n, "n", 0) == 0:
         return ()
     digits = normal_u_rep(m, n)
     top = len(digits) - 1
@@ -377,6 +373,7 @@ def prefix_b_count(m: Morphism, n: int) -> int:
     the non-simple family |phi^i(A)|_B = U_{i-1} for i >= 1, so the sum
     collapses to sum_{j>=1} d_j U_{j-1}; the tests check both forms agree.
     """
+    n = _integer(n, "n", 0)
     return b_weights(_top_rows(m, n), n)[0]
 
 

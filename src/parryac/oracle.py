@@ -34,6 +34,7 @@ from .words import (
     A,
     B,
     Morphism,
+    _integer,
     apply,
     fixed_point_prefix,
     parikh_image,
@@ -100,8 +101,7 @@ def _interval(cum: np.ndarray, n: int, stabilized: bool = False) -> ParikhInterv
 
 def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
     """Min and max B-count over all length-n windows of the given prefix."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n, prefix_len = _integer(n, "n"), _integer(prefix_len, "prefix_len", None)
     if prefix_len < n:
         raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
     return _interval(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
@@ -129,8 +129,7 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     stabilized=True.  Raises OracleInstabilityError, before generating
     anything, when phi^k(AA) is longer than GENERATION_CAP.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer(n, "n")
     if n > ORACLE_N_CAP:
         raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
     k, row_a, row_b = 0, (1, 0), (0, 1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 from typing import NamedTuple
 
 A = "A"
@@ -107,6 +108,19 @@ def make_morphism(p: int, q: int, family: Family | str) -> Morphism:
     simple with p < q, non-simple with p <= q).
     """
     return Morphism(p, q, Family(family))
+
+
+def _integer(value: int, name: str, floor: int | None = 1) -> int:
+    """value as a plain int, for every length, stage and index the library takes.
+
+    A float or fraction raises TypeError (operator.index); Python, numpy and
+    bool integers pass.  Below floor, 1 or 0, it raises ValueError; floor
+    None leaves the range to the caller's own check.
+    """
+    value = index(value)
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be {'positive' if floor else 'nonnegative'}, got {value}")
+    return value
 
 
 # --- Parikh accounting -------------------------------------------------------
@@ -212,8 +226,7 @@ def word_prefix(m: Morphism, target: str, length: int) -> str:
     """Length-`length` prefix of the fixed point ("ubeta"), w, or v."""
     if target not in _TARGETS:
         raise ValueError(f"unknown word target {target!r}; expected one of {_TARGETS}")
-    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {length!r}")
+    length = _integer(length, "length", 0)
     if length > GENERATION_CAP:
         raise CapExceededError(
             f"requested {length} letters, generation cap is {GENERATION_CAP}")

@@ -20,21 +20,27 @@ from parryac import (
     balance_bound,
     choose_k_nonsimple,
     choose_mn_simple,
+    fixed_point_prefix,
     make_morphism,
     max_ac,
     normal_u_rep,
     oracle_ac,
+    parikh_extrema,
     prefix_b_count,
     prefix_decomposition,
+    u_rep_value,
     u_value,
     v_b_count_simple,
     w_b_count_nonsimple,
     w_b_count_simple,
+    w_prefix_nonsimple,
     w_stage_length_nonsimple,
+    wv_prefix_simple,
     wv_stage_length_simple,
 )
 from parryac import complexity, numeration
 from parryac.numeration import digit_lists, top_index
+from parryac.words import word_prefix
 from conftest import (
     MATRIX_IDENTITY,
     NONSIMPLE_GRID,
@@ -89,6 +95,12 @@ def test_ac_nonsimple_k_invariance(m):
 def test_ac_nonsimple_rejects_inadmissible_k(nonsimple31):
     with pytest.raises(ValueError, match="inadmissible"):
         ac_nonsimple(nonsimple31, 10, k=2)   # |w^(2)| = 9 < 10
+
+
+def test_ac_nonsimple_rejects_negative_k(nonsimple31):
+    # a negative k would read the row tables from their far end
+    with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+        ac_nonsimple(nonsimple31, 7, k=-1)
 
 
 # --- dispatcher ---------------------------------------------------------------------
@@ -351,11 +363,31 @@ def test_closed_form_equals_oracle_spot(m):
         assert ac(m, n).value == oracle_ac(m, n).ac
 
 
-# --- lengths must be integers ----------------------------------------------------------------
+# --- lengths, stages and indices must be integers ----------------------------------------------
 
 _NS31, _S32, _S41 = (make_morphism(3, 1, "nonsimple"), make_morphism(3, 2, "simple"),
                      make_morphism(4, 1, "simple"))
+# the first n of stage 7, so that stage 7 brackets it
+_V7, _W7 = wv_stage_length_simple(_S32, "v", 7), wv_stage_length_simple(_S32, "w", 7)
+# every integer argument, each taking the value 7 as a valid call would
 _LENGTH_TAKERS = {
+    "fixed_point_prefix": lambda n: fixed_point_prefix(_NS31, n),
+    "word_prefix": lambda n: word_prefix(_S32, "w", n),
+    "w_prefix_nonsimple": lambda n: w_prefix_nonsimple(_NS31, n),
+    "wv_prefix_simple": lambda n: wv_prefix_simple(_S32, "v", n),
+    "oracle_ac": lambda n: oracle_ac(_NS31, n),
+    "parikh_extrema n": lambda n: parikh_extrema(_NS31, n, 48),
+    "parikh_extrema prefix_len": lambda n: parikh_extrema(_NS31, 3, n),
+    "u_value": lambda k: u_value(_NS31, k),
+    "normal_u_rep min_places": lambda places: normal_u_rep(_NS31, 157, min_places=places),
+    "u_rep_value digit": lambda digit: u_rep_value(_NS31, (1, digit, 0)),
+    "w_stage_length_nonsimple": lambda stage: w_stage_length_nonsimple(_NS31, stage),
+    "wv_stage_length_simple v": lambda stage: wv_stage_length_simple(_S32, "v", stage),
+    "wv_stage_length_simple w": lambda stage: wv_stage_length_simple(_S32, "w", stage),
+    "w_b_count_nonsimple k": lambda k: w_b_count_nonsimple(_NS31, 7, k),
+    "v_b_count_simple stage": lambda stage: v_b_count_simple(_S32, _V7, stage),
+    "w_b_count_simple stage": lambda stage: w_b_count_simple(_S32, _W7, stage),
+    "ac_nonsimple k": lambda k: ac_nonsimple(_NS31, 7, k),
     "normal_u_rep": lambda n: normal_u_rep(_NS31, n),
     "prefix_b_count": lambda n: prefix_b_count(_NS31, n),
     "top_index": lambda n: top_index(_NS31, n),
@@ -389,4 +421,8 @@ def test_non_integer_length_raises_type_error(name, n):
 def test_numpy_integer_lengths_are_accepted():
     np = pytest.importorskip("numpy")
     for name, call in _LENGTH_TAKERS.items():
-        assert call(np.int64(7)) == call(7), name
+        # equal, and no numpy scalar in the result: numpy >= 2 names its type in repr
+        assert repr(call(np.int64(7))) == repr(call(7)), name
+    # a numpy n comes back as a plain int whatever numpy's repr
+    assert type(oracle_ac(_NS31, np.int64(7)).n) is int
+    assert type(parikh_extrema(_NS31, np.int64(7), np.int64(48)).n) is int

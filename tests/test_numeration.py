@@ -132,6 +132,17 @@ def test_u_rep_value_accepts_non_normal_digits(nonsimple31):
     assert u_rep_value(nonsimple31, ()) == 0
 
 
+def test_u_rep_value_digits_must_be_integers(nonsimple31):
+    # U = 1, 4, 14, ...: any integer digit counts, negative ones too, but 1.5 U_0 is no length
+    np = pytest.importorskip("numpy")
+    assert u_rep_value(nonsimple31, (np.int64(1), np.int64(3))) == 7
+    assert u_rep_value(nonsimple31, np.array([2, -1])) == 7
+    assert u_rep_value(nonsimple31, (1, -1, 2)) == 12
+    for digits in ([1.5], (1, 3.0)):
+        with pytest.raises(TypeError):
+            u_rep_value(nonsimple31, digits)
+
+
 # --- prefix decomposition --------------------------------------------------------
 
 def test_prefix_decomposition_examples(nonsimple31):
