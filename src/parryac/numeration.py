@@ -304,7 +304,9 @@ def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     plan, top = rows._plan, rows.top
     if top >= _LOW_PLACES:
         splits = _splits(plan, top)
-        return _greedy(plan, splits, x, top, None), _greedy(plan, splits, y, top, None)
+        return _greedy(plan, splits, x, top, False)[0], _greedy(plan, splits, y, top, False)[0]
+    # _greedy's leaf, for two values in one loop: this is the per-n path of
+    # ac_via_prefix_counts, where two _greedy calls would cost about 1 us more
     weight_x = weight_y = 0
     for u, count_b in plan.places[top::-1]:
         if x >= u:
@@ -333,12 +335,14 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
 
 
 def digit_lists(rows: Rows, values: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Each value's greedy digits over places 0 .. rows.top, least significant first,
-    and its b_weights sum, from one pass; the values must be below U_{top+1}."""
+    """Each value's greedy digits over places 0 .. rows.top and its b_weights sum, from one pass.
+
+    The values must be below U_{top+1}.  The lists are those the pass built, least significant
+    first like every digit list here; only normal_u_rep's output and u_rep_value's input are not.
+    """
     splits = _splits(rows._plan, rows.top) if rows.top >= _LOW_PLACES else []
-    digits = [[] for _ in values]
-    weights = [_greedy(rows._plan, splits, value, rows.top, out) for value, out in zip(values, digits)]
-    return [out[::-1] for out in digits], weights
+    passes = [_greedy(rows._plan, splits, value, rows.top, True) for value in values]
+    return [digits for _, digits in passes], [weight for weight, _ in passes]
 
 
 def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
@@ -347,7 +351,7 @@ def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
     Inverse of normal_u_rep on greedy strings, but accepts any digit
     string, normal or not; each digit must be an integer.
     """
-    digits, plan = list(map(index, digits)), _plan(m)
+    digits, plan = list(map(index, digits))[::-1], _plan(m)
     total, weight = _columns(plan, _windows(plan, len(digits) - 1), digits, 0, len(digits))
     return total + plan.simple * weight
 
@@ -422,72 +426,66 @@ def _quotient(x: int, u: int, g: int, s1: int, scale: int) -> int:
     return (x >> cut) * u // (u * u - (g >> cut) * (s1 >> cut))
 
 
-def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int, out: list[int] | None) -> int:
-    """The W of x < U_{top+1}, appending its digits over places top .. 0 to out, top first, if given."""
+def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int,
+            keep: bool) -> tuple[int, list[int] | None]:
+    """The W of x < U_{top+1}, and if keep its digits over places 0 .. top, least significant first.
+
+    A leaf reverses its top-first divisions once; a split node steps its estimate's list in place.
+    """
     if top < _LOW_PLACES:
-        weight = 0
+        digits, weight = [] if keep else None, 0
         for u, count_b in plan.places[top::-1]:
-            if out is not None:
+            if keep:
                 digit, x = divmod(x, u)
-                out.append(digit)
+                digits.append(digit)
                 weight += digit * count_b
             elif x >= u:  # W alone: a zero digit costs one comparison
                 digit, x = divmod(x, u)
                 weight += digit * count_b
-        return weight
-    shifted, rest, h = _top_part(plan, splits, x, top, out)
-    return shifted + _greedy(plan, splits, rest, h - 1, out)
-
-
-def _top_part(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int,
-              out: list[int] | None) -> tuple[int, int, int]:
-    """(W of x's digits at places >= h, x - f(m), h), h the largest split <= top, m the largest f(m) <= x.
-
-    The estimate's digits, with a spare place, go to out (or a new list) and are stepped to m lowest first.
-    """
+        if keep:
+            digits.reverse()
+        return weight, digits
+    # x's digits at places >= h, the largest split <= top, are those of m, the largest f(m) <= x
     h, u, g, s1, lag, scale = splits[(top // _LOW_PLACES).bit_length() - 1]
-    digits = [] if out is None else out
-    start, m = len(digits), max(_quotient(x, u, g, s1, scale), 0)
-    weight = _greedy(plan, splits, m, top - h + 1, digits)
+    m = max(_quotient(x, u, g, s1, scale), 0)
+    weight, digits = _greedy(plan, splits, m, top - h + 1, True)  # with a spare place
     rest = x - m * u + g * weight
-    if 0 <= rest < u - g:
-        assert digits[start] == 0, (plan.m, top)
-        del digits[start]
-    else:
+    if not 0 <= rest < u - g:  # the estimate may be off: step its digits to m
+        digits.append(0)  # room for a scan past the top of a simple-family run
         # f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m)), and W moves by 0 or 1
-        low = digits[:start - 1:-1] if start else digits[::-1]
-        low.append(0)  # room for a scan past the top of a simple-family run
         jump = max(_quotient(rest, u, g, s1, scale), -m) if rest < 0 or rest >= u else 0
         assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few
-        gain = sum(plan.up(low) for _ in range(jump)) + sum(plan.down(low) for _ in range(-jump))
+        gain = sum(plan.up(digits) for _ in range(jump)) + sum(plan.down(digits) for _ in range(-jump))
         m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain
         for _ in range(_MAX_STEPS + 1):
             step = -1 if rest < 0 else 1 if rest >= u - g else 0
             if not step:
                 break
-            gain = plan.down(low) if step < 0 else plan.up(low)
+            gain = plan.down(digits) if step < 0 else plan.up(digits)
             if step > 0 and rest < u - g * gain:  # f(m + 1) > x
-                plan.down(low)
+                plan.down(digits)
                 break
             m, weight, rest = m + step, weight + gain, rest - step * u + g * gain
         else:
             raise AssertionError(f"{plan.m}: no split at place {h} within {_MAX_STEPS} steps")
-        assert not any(low[top - h + 1:]), (plan.m, top)
-        del digits[start:], low[top - h + 1:]
-        digits.extend(reversed(low))
-    return s1 * (m - plan.simple * weight) + lag * weight, rest, h
+    assert not any(digits[top - h + 1:]), (plan.m, top)
+    del digits[top - h + 1:]
+    low_weight, low = _greedy(plan, splits, rest, h - 1, keep)
+    if keep:
+        low += digits
+    return s1 * (m - plan.simple * weight) + lag * weight + low_weight, low
 
 
 def _columns(plan: _Plan, windows: list[tuple[int, int]], digits: Sequence[int],
              start: int, stop: int) -> tuple[int, int]:
-    """(sum d_j s_j, sum d_j s_{j-1}) over top-first digits[start:stop], any digits alike."""
+    """(sum d_j s_j, sum d_j s_{j-1}) over digits[start:stop], least significant first, any alike."""
     top = stop - start - 1
     if top < _LOW_PLACES:
-        low = digits[start:stop][::-1]
+        low = digits[start:stop]
         return sum(map(mul, low, islice(plan.s, 1, None))), sum(map(mul, low, plan.s))
     k = (top // _LOW_PLACES).bit_length() - 1
     (s0, s1), h = windows[k], _LOW_PLACES << k
-    high, weight = _columns(plan, windows, digits, start, stop - h)
-    rest_high, rest_weight = _columns(plan, windows, digits, stop - h, stop)
+    high, weight = _columns(plan, windows, digits, start + h, stop)
+    rest_high, rest_weight = _columns(plan, windows, digits, start, start + h)
     return (s0 * high - plan.det * s1 * weight + rest_high,
             s1 * high + (s0 - plan.trace * s1) * weight + rest_weight)

@@ -127,7 +127,7 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     windows are exactly the length-n factors of the fixed point (see the
     module docstring), and prefix_len_used is |phi^k(AABA)|.  Reports
     stabilized=True.  Raises OracleInstabilityError, before generating
-    anything, when phi^k(AA) is longer than GENERATION_CAP.
+    anything, when phi^k(AABA) is longer than GENERATION_CAP.
     """
     n = _integer(n, "n")
     if n > ORACLE_N_CAP:
@@ -135,8 +135,9 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     k, row_a, row_b = 0, (1, 0), (0, 1)
     while sum(row_b) < n - 1:
         k, row_a, row_b = k + 1, parikh_image(m, row_a), parikh_image(m, row_b)
-    if 2 * sum(row_a) > GENERATION_CAP:
+    letters = 3 * sum(row_a) + sum(row_b)
+    if letters > GENERATION_CAP:
         raise OracleInstabilityError(
-            f"the certified scan for n={n} needs phi^{k}(AA) of {2 * sum(row_a)} letters, "
+            f"the certified scan for n={n} needs phi^{k}(AABA) of {letters} letters, "
             f"over the generation cap of {GENERATION_CAP}")
     return _interval(_block_pair_counts(m, k), n, True)

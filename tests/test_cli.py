@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import parryac
-from parryac import ac, make_morphism, words
+from parryac import ac, make_morphism, normal_u_rep, u_rep_value, words
 from parryac.cli import (
     EX_MISMATCH,
     EX_OK,
@@ -163,6 +163,23 @@ def test_urep_formats(capsys):
     assert run(capsys, ["urep", *NS31, "--n", "157", "--format", "json"]) == (
         EX_OK, '{"p": 3, "q": 1, "family": "nonsimple", "n": "157", "digits": [3, 0, 3, 1]}\n', "")
     assert run(capsys, ["urep", *NS31, "--n", "157", "--format", "csv"]) == (EX_OK, "3,0,3,1\n", "")
+
+
+@pytest.mark.parametrize("spec", [(3, 1, "nonsimple"), (3, 2, "simple"), (5, 5, "simple")])
+def test_urep_past_place_128(capsys, spec):
+    # n has 132 to 189 places, so the split pass runs; 300 places pad it
+    m, n = make_morphism(*spec), 7 * 10 ** 100 + 12345
+    expected = normal_u_rep(m, n, 300)
+    assert len(normal_u_rep(m, n)) > 128 and len(expected) == 300
+    argv = ["urep", "--family", spec[2], "--p", str(spec[0]), "--q", str(spec[1]), "--n", str(n),
+            "--places", "300"]
+    for tail in ([], ["--format", "csv"], ["--format", "json"]):
+        code, out, err = run(capsys, argv + tail)
+        assert (code, err) == (EX_OK, "")
+        digits = tuple(json.loads(out)["digits"] if tail[-1:] == ["json"] else map(int, out.split(",")))
+        assert digits == expected and u_rep_value(m, digits) == n, tail
+    assert json.loads(out) == {"p": spec[0], "q": spec[1], "family": spec[2], "n": str(n),
+                               "digits": list(expected)}
 
 
 def test_urep_rejects_negative_n(capsys):

@@ -467,9 +467,10 @@ def test_digit_lists_and_b_weights_match_reference_sums(m):
 
 @pytest.mark.parametrize("m", CERTIFIED, ids=str)
 def test_u_rep_value_of_long_non_normal_strings(m):
-    # digits up to 2p + 3 over up to 1300 places: two splits deep, no string greedy
+    # digits up to 2p + 3 over up to 1300 places: two splits deep, no string
+    # greedy; 128, 129, 256, 257 and 513 places sit on the edges of a split
     rng = random.Random(m.q)
-    for places in (301, 700, 1300):
+    for places in (128, 129, 256, 257, 301, 513, 700, 1300):
         digits = [rng.randrange(2 * m.p + 4) for _ in range(places)]
         assert u_rep_value(m, digits) == ref_digit_sums(m, digits)[0], places
 

@@ -17,6 +17,7 @@ from parryac import (
     parikh_extrema,
     u_value,
 )
+from parryac import oracle
 
 from conftest import (
     FULL_GRID,
@@ -113,6 +114,16 @@ def test_oracle_ac_refuses_scan_over_generation_cap():
     # before anything is generated
     with pytest.raises(OracleInstabilityError, match="generation cap"):
         oracle_ac(make_morphism(3000, 1, "nonsimple"), 10 ** 5)
+
+
+def test_oracle_ac_caps_the_word_it_scans(nonsimple31, monkeypatch):
+    # n = 7 takes k = 2: phi^2(AA) has 28 letters and phi^2(AABA) 48, the
+    # word the scan reads, so a cap between the two refuses it
+    monkeypatch.setattr(oracle, "GENERATION_CAP", 47)
+    with pytest.raises(OracleInstabilityError, match=r"phi\^2\(AABA\) of 48 letters"):
+        oracle_ac(nonsimple31, 7)
+    monkeypatch.setattr(oracle, "GENERATION_CAP", 48)
+    assert oracle_ac(nonsimple31, 7).prefix_len_used == 48
 
 
 @pytest.mark.parametrize("p", range(1, 13))
