@@ -17,7 +17,7 @@ places as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1} and down i places by one
 exact division by d^i.  Each morphism keeps one plan, built whole, with
 the rows j < 128: they cover every n below about 2^88 and end every pass.
 
-Above the list, the greedy pass (`b_weights`, and `digit_lists` with the
+Above the list, the greedy pass (`digit_lists`; `b_weights` drops the
 digits) splits the places at the largest h = 128 2^k below the top and
 recurses.  The digits at places >= h are the greedy digits of one integer
 m, and with W(m) = sum_i e_i |phi^i(A)|_B over them, U_{i+h} = U_i U_h -
@@ -252,10 +252,10 @@ class Rows:
 
 
 def place_rows(m: Morphism, top: int) -> Rows:
-    """The rows of places top down to 0, as b_weights reads them.
+    """The rows of places 0 .. top, read from one window at top.
 
-    Callers that run many passes over the same places, or read a stage's
-    U_j and sums near top, take it once and reuse it.
+    Callers that read a stage's U_j and sums near top take it once and
+    reuse it; b_weights takes from it only the morphism's plan and the top.
     """
     return Rows(_plan(m), top)
 
@@ -304,9 +304,9 @@ def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     plan, top = rows._plan, rows.top
     if top >= _LOW_PLACES:
         splits = _splits(plan, top)
-        return _greedy(plan, splits, x, top, False)[0], _greedy(plan, splits, y, top, False)[0]
-    # _greedy's leaf, for two values in one loop: this is the per-n path of
-    # ac_via_prefix_counts, where two _greedy calls would cost about 1 us more
+        return _greedy(plan, splits, x, top)[0], _greedy(plan, splits, y, top)[0]
+    # two values in one loop that skips zero digits: complexity's one-n
+    # records read W(x) and W(y) here, and two _greedy calls cost about 1 us more
     weight_x = weight_y = 0
     for u, count_b in plan.places[top::-1]:
         if x >= u:
@@ -341,7 +341,7 @@ def digit_lists(rows: Rows, values: Sequence[int]) -> tuple[list[list[int]], lis
     first like every digit list here; only normal_u_rep's output and u_rep_value's input are not.
     """
     splits = _splits(rows._plan, rows.top) if rows.top >= _LOW_PLACES else []
-    passes = [_greedy(rows._plan, splits, value, rows.top, True) for value in values]
+    passes = [_greedy(rows._plan, splits, value, rows.top) for value in values]
     return [digits for _, digits in passes], [weight for weight, _ in passes]
 
 
@@ -426,29 +426,24 @@ def _quotient(x: int, u: int, g: int, s1: int, scale: int) -> int:
     return (x >> cut) * u // (u * u - (g >> cut) * (s1 >> cut))
 
 
-def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int,
-            keep: bool) -> tuple[int, list[int] | None]:
-    """The W of x < U_{top+1}, and if keep its digits over places 0 .. top, least significant first.
+def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tuple[int, list[int]]:
+    """The W of x < U_{top+1} and its digits over places 0 .. top, least significant first.
 
-    A leaf reverses its top-first divisions once; a split node steps its estimate's list in place.
+    A leaf reverses its top-first divisions once.  A split node steps its
+    estimate's list in place and joins the lower half's list below it.
     """
     if top < _LOW_PLACES:
-        digits, weight = [] if keep else None, 0
+        digits, weight = [], 0
         for u, count_b in plan.places[top::-1]:
-            if keep:
-                digit, x = divmod(x, u)
-                digits.append(digit)
-                weight += digit * count_b
-            elif x >= u:  # W alone: a zero digit costs one comparison
-                digit, x = divmod(x, u)
-                weight += digit * count_b
-        if keep:
-            digits.reverse()
+            digit, x = divmod(x, u)
+            digits.append(digit)
+            weight += digit * count_b
+        digits.reverse()
         return weight, digits
     # x's digits at places >= h, the largest split <= top, are those of m, the largest f(m) <= x
     h, u, g, s1, lag, scale = splits[(top // _LOW_PLACES).bit_length() - 1]
     m = max(_quotient(x, u, g, s1, scale), 0)
-    weight, digits = _greedy(plan, splits, m, top - h + 1, True)  # with a spare place
+    weight, digits = _greedy(plan, splits, m, top - h + 1)  # with a spare place
     rest = x - m * u + g * weight
     if not 0 <= rest < u - g:  # the estimate may be off: step its digits to m
         digits.append(0)  # room for a scan past the top of a simple-family run
@@ -470,9 +465,8 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int,
             raise AssertionError(f"{plan.m}: no split at place {h} within {_MAX_STEPS} steps")
     assert not any(digits[top - h + 1:]), (plan.m, top)
     del digits[top - h + 1:]
-    low_weight, low = _greedy(plan, splits, rest, h - 1, keep)
-    if keep:
-        low += digits
+    low_weight, low = _greedy(plan, splits, rest, h - 1)
+    low += digits
     return s1 * (m - plan.simple * weight) + lag * weight + low_weight, low
 
 

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 from .words import (
     GENERATION_CAP,
-    A,
     B,
     Morphism,
     _integer,
@@ -89,8 +88,11 @@ def _cumulative_b(text: str) -> np.ndarray:
     """Array c with c[i] = number of B's among the first i letters of text."""
     import numpy as np  # deferred: only the oracle needs numpy
 
-    flags = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE
-    return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+    assert len(text) < 1 << 31, f"{len(text)} letters overflow the int32 counts"
+    cum = np.zeros(len(text) + 1, dtype=np.int32)
+    cum[1:] = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE
+    np.cumsum(cum[1:], out=cum[1:])  # in place: a cumsum that casts the mask copies it whole
+    return cum
 
 
 def _interval(cum: np.ndarray, n: int, stabilized: bool = False) -> ParikhInterval:
@@ -114,10 +116,10 @@ def _block_pair_counts(m: Morphism, k: int) -> np.ndarray:
     One entry is enough: verify walks n upwards, so k never decreases and
     each level is built once.
     """
-    image_a, image_b = A, B
+    word = "AABA"
     for _ in range(k):
-        image_a, image_b = apply(m, image_a), apply(m, image_b)
-    return _cumulative_b(image_a + image_a + image_b + image_a)
+        word = apply(m, word)
+    return _cumulative_b(word)
 
 
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:

@@ -184,40 +184,27 @@ def _source_cut(word: str, images: tuple[str, str], length: int) -> int:
     return cut
 
 
-def _image_prefix(word: str, images: tuple[str, str], length: int, passes: int = 1,
-                  head: str = "") -> str:
-    """head + word mapped `passes` times by A, B -> images, cut to more than `length` letters.
-
-    Each pass maps only the letters the rest need; the head joins on the last.
-    The last pass's source is cut by its letter counts.  For the earlier
-    ones, a word without BB pairs up into AA, AB and BA, none with an image
-    shorter than len(images[0]) + len(images[1]), which bounds each cut.
-    """
-    cuts = [length]
-    for _ in range(passes):
-        cuts.append(2 * cuts[-1] // (len(images[0]) + len(images[1])) + 2)
-    for step in range(passes, 1, -1):
-        # slicing first frees the unmapped rest before mapping
-        word = _image(word[:cuts[step]], *images)
+def _image_prefix(word: str, images: tuple[str, str], length: int, head: str = "") -> str:
+    """head + word mapped by A, B -> images, cut to more than `length` letters after the head."""
     return _image(word[:_source_cut(word, images, length)], *images, head)
 
 
 def _iterate(m: Morphism, head: str, start: str, length: int, power: int = 1) -> str:
     """Length-`length` prefix of the word T = head + phi^power(T) that begins with start.
 
-    It is the limit of T <- head + phi^power(T) from T = start.  A step is one
-    pass of phi^power where its letter images fit in `length`, else `power`
-    passes of phi, so no step builds much more than 2 * length + 2 * |phi(A)| letters;
-    the last pass of a step builds at most length + |head| plus one letter image.
+    It is the limit of T <- head + phi^power(T) from T = start, stepped by one
+    pass of phi^power's letter images, each cut to more than `length` letters.
+    A letter whose image is cut ends the source of its step, so the first
+    `length` letters are those of the whole images, and no step builds more
+    than length + |head| letters plus one letter image.
     """
-    images, passes = (m.image_a, m.image_b), power
-    composed = tuple(_image_prefix(letter, images, length, power) for letter in (A, B))
-    if len(composed[0]) <= length:  # whole images: |phi^r(B)| <= |phi^r(A)|
-        images, passes = composed, 1
+    images = base = (m.image_a, m.image_b)
+    for _ in range(power - 1):  # a cut B image stays no longer than A's, as _source_cut needs
+        images = tuple(_image_prefix(image, base, length) for image in images)
     word = start
     while len(word) < length:
         shorter = len(word)
-        word = _image_prefix(word, images, length, passes, head)
+        word = _image_prefix(word, images, length, head)
         assert len(word) > shorter, f"a step from {shorter} letters stopped the growth"
     return word[:length]
 

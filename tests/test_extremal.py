@@ -173,6 +173,24 @@ def test_wv_prefix_simple_large_p_builds_no_long_image(which):
         assert prefix == expected[:n]
 
 
+@pytest.mark.parametrize("which", ["ubeta", "w"])
+def test_nonsimple_large_p_prefixes_build_no_long_image(which):
+    # every word steps by the same cut images; |phi^2(A)| is about 10^10
+    # letters here.  u starts phi(AAA) and w = B phi(w) starts B phi(BABAA)
+    m = make_morphism(10 ** 5, 1, "nonsimple")
+    build, expected = {"ubeta": (fixed_point_prefix, apply(m, "AAA")),
+                       "w": (w_prefix_nonsimple, "B" + apply(m, "BABAA"))}[which]
+    tracemalloc.start()
+    try:
+        prefixes = {n: build(m, n) for n in (1, 10, m.p + 1, m.p + 2, 3 * m.p)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10 ** 6
+    for n, prefix in prefixes.items():
+        assert prefix == expected[:n]
+
+
 def test_wv_prefix_simple_rejects_sturmian_case():
     m = make_morphism(4, 1, "simple")
     with pytest.raises(UnsupportedConstructionError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,22 @@ def test_oracle_ac_scans_one_word_of_the_three_block_pairs(m):
         assert (got.min_b, got.max_b) == (min(low for low, _ in bounds),
                                           max(high for _, high in bounds)), (m, n)
         assert got.prefix_len_used == 3 * len(image_a) + len(image_b), (m, n)
+
+
+def test_oracle_ac_holds_under_12_bytes_per_scanned_letter(nonsimple31):
+    # a cold scan keeps the word and one int32 count per letter, not an int64
+    # count and a copy of it
+    import numpy  # noqa: F401  loaded before tracing, as any earlier scan would have
+
+    oracle._block_pair_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        got = oracle_ac(nonsimple31, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.prefix_len_used == 259808
+    assert peak < 12 * got.prefix_len_used
 
 
 @pytest.mark.parametrize("m", STURMIAN_SIMPLE)
