@@ -28,7 +28,7 @@ from itertools import islice
 
 from .complexity import ac_range, ac_via_prefix_counts, balance_bound, max_ac
 from .numeration import normal_u_rep
-from .oracle import ORACLE_N_CAP, OracleInstabilityError, oracle_ac, parikh_extrema
+from .oracle import ORACLE_N_CAP, OracleInstabilityError, _intervals, oracle_ac, parikh_extrema
 from .words import (
     CapExceededError,
     Family,
@@ -181,9 +181,9 @@ def _cmd_verify(m: Morphism, args) -> int:
         raise ValueError(f"n_max={n_max} exceeds the oracle cap {ORACLE_N_CAP}")
     sturmian_simple = m.family is Family.SIMPLE and m.q == 1
     mismatches = []
-    for n, closed, _ in ac_range(m, 1, n_max):
+    for (n, closed, _), interval in zip(ac_range(m, 1, n_max), _intervals(m, 1, n_max)):
         diff = None if sturmian_simple else ac_via_prefix_counts(m, n)
-        brute = oracle_ac(m, n).ac
+        brute = interval.ac
         if closed != brute or (diff is not None and diff != closed):
             mismatches.append((n, closed, diff, brute))
     if mismatches:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .words import (
     GENERATION_CAP,
@@ -113,13 +113,34 @@ def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
 def _block_pair_counts(m: Morphism, k: int) -> np.ndarray:
     """Cumulative B-count of phi^k(AABA), which holds phi^k(AA), phi^k(AB), phi^k(BA).
 
-    One entry is enough: verify walks n upwards, so k never decreases and
-    each level is built once.
+    One entry serves a library loop that calls oracle_ac for n upwards:
+    consecutive n share their level, so each level's word is built once.
     """
     word = "AABA"
     for _ in range(k):
         word = apply(m, word)
     return _cumulative_b(word)
+
+
+def _intervals(m: Morphism, start: int, stop: int) -> Iterator[ParikhInterval]:
+    """oracle_ac's interval for each n = start..stop, in order.
+
+    The level k and its rows step up only when n passes |phi^k(B)| + 1, so
+    a range searches and checks each level once, not once per n.
+    """
+    k, row_a, row_b = 0, (1, 0), (0, 1)
+    last = start - 1  # the last n the current level serves; none yet
+    for n in range(start, stop + 1):
+        if n > last:
+            while sum(row_b) < n - 1:
+                k, row_a, row_b = k + 1, parikh_image(m, row_a), parikh_image(m, row_b)
+            letters = 3 * sum(row_a) + sum(row_b)
+            if letters > GENERATION_CAP:
+                raise OracleInstabilityError(
+                    f"the certified scan for n={n} needs phi^{k}(AABA) of {letters} letters, "
+                    f"over the generation cap of {GENERATION_CAP}")
+            cum, last = _block_pair_counts(m, k), sum(row_b) + 1
+        yield _interval(cum, n, True)
 
 
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
@@ -134,12 +155,4 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     n = _integer(n, "n")
     if n > ORACLE_N_CAP:
         raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
-    k, row_a, row_b = 0, (1, 0), (0, 1)
-    while sum(row_b) < n - 1:
-        k, row_a, row_b = k + 1, parikh_image(m, row_a), parikh_image(m, row_b)
-    letters = 3 * sum(row_a) + sum(row_b)
-    if letters > GENERATION_CAP:
-        raise OracleInstabilityError(
-            f"the certified scan for n={n} needs phi^{k}(AABA) of {letters} letters, "
-            f"over the generation cap of {GENERATION_CAP}")
-    return _interval(_block_pair_counts(m, k), n, True)
+    return next(_intervals(m, n, n))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import parryac
-from parryac import ac, make_morphism, normal_u_rep, u_rep_value, words
+from parryac import ac, cli, make_morphism, normal_u_rep, oracle, u_rep_value, words
 from parryac.cli import (
     EX_MISMATCH,
     EX_OK,
@@ -23,6 +23,8 @@ from parryac.cli import (
     EX_USAGE,
     main,
 )
+
+from conftest import ref_apply
 
 NS31 = ["--family", "nonsimple", "--p", "3", "--q", "1"]
 S32 = ["--family", "simple", "--p", "3", "--q", "2"]
@@ -319,6 +321,43 @@ def test_verify_sturmian_simple_ok(capsys):
 def test_verify_rejects_empty_range(capsys):
     code, _, err = run(capsys, ["verify", *NS31, "--n-max", "0"])
     assert code == EX_USAGE
+
+
+def test_verify_reports_each_mismatch(capsys, monkeypatch):
+    # one wrong prefix-difference value is reported on its own line, and
+    # no OK line follows
+    right = cli.ac_via_prefix_counts
+    monkeypatch.setattr(cli, "ac_via_prefix_counts", lambda m, n: right(m, n) + (n == 7))
+    code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
+    assert code == EX_MISMATCH
+    assert out == "MISMATCH n=7: closed_form=3 prefix_difference=4 oracle=3\n"
+
+
+def test_verify_exits_2_at_the_first_n_over_the_cap(capsys, monkeypatch):
+    # n = 4 is the first n of level 2, whose word phi^2(AABA) has 48 letters
+    monkeypatch.setattr(oracle, "GENERATION_CAP", 47)
+    code, out, err = run(capsys, ["verify", *NS31, "--n-max", "10"])
+    assert code == EX_UNSTABLE
+    assert out == ""
+    assert "n=4" in err and "phi^2(AABA) of 48 letters" in err
+
+
+def test_verify_searches_each_oracle_level_once(capsys, monkeypatch, nonsimple31):
+    # two parikh_image calls step one level; a search per n made 25,744 here
+    levels, image_b = 0, "B"
+    while len(image_b) < 2000 - 1:
+        levels, image_b = levels + 1, ref_apply(nonsimple31, image_b)
+    calls = []
+    step = oracle.parikh_image
+
+    def counted(m, row):
+        calls.append(row)
+        return step(m, row)
+
+    monkeypatch.setattr(oracle, "parikh_image", counted)
+    code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "2000"])
+    assert (code, out) == (EX_OK, "OK 2000 checked\n")
+    assert 0 < len(calls) <= 2 * (levels + 1)
 
 
 # --- imports ---------------------------------------------------------------------

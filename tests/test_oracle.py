@@ -179,6 +179,26 @@ def test_oracle_ac_scans_one_word_of_the_three_block_pairs(m):
         assert got.prefix_len_used == 3 * len(image_a) + len(image_b), (m, n)
 
 
+@pytest.mark.parametrize("m", FULL_GRID + STURMIAN_SIMPLE)
+def test_level_walk_matches_oracle_ac_per_n(m):
+    # a walk finds each level once where oracle_ac searches from k = 0 for
+    # every n; level k serves n up to |phi^k(B)| + 1, so the walks start at
+    # 1, inside a level and just before the last n of the level holding 3000
+    last_ns, image_b = [], "B"
+    while not last_ns or last_ns[-1] < 3000:
+        last_ns.append(len(image_b) + 1)
+        image_b = ref_apply(m, image_b)
+    expected = [oracle_ac(m, n) for n in range(1, 3001)]
+    assert list(oracle._intervals(m, 1, 3000)) == expected
+    first, last = next((a + 1, b) for a, b in zip(last_ns, last_ns[1:]) if b >= 1000)
+    middle = (first + last) // 2
+    assert first < middle < last
+    assert list(oracle._intervals(m, middle, 3000)) == expected[middle - 1:]
+    top = last_ns[-1]
+    assert list(oracle._intervals(m, top - 1, top + 2)) == [
+        oracle_ac(m, n) for n in range(top - 1, top + 3)]
+
+
 def test_oracle_ac_holds_under_12_bytes_per_scanned_letter(nonsimple31):
     # a cold scan keeps the word and one int32 count per letter, not an int64
     # count and a copy of it
