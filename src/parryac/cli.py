@@ -24,9 +24,9 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 
-from .complexity import ac_range, ac_via_prefix_counts, balance_bound, max_ac
+from .complexity import _prefix_differences, ac_range, balance_bound, max_ac
 from .numeration import normal_u_rep
 from .oracle import ORACLE_N_CAP, OracleInstabilityError, _intervals, oracle_ac, parikh_extrema
 from .words import (
@@ -179,10 +179,12 @@ def _cmd_verify(m: Morphism, args) -> int:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > ORACLE_N_CAP:
         raise ValueError(f"n_max={n_max} exceeds the oracle cap {ORACLE_N_CAP}")
+    # the simple family with q = 1 has no v and w, so no prefix difference
     sturmian_simple = m.family is Family.SIMPLE and m.q == 1
+    diffs = repeat(None) if sturmian_simple else _prefix_differences(m, 1, n_max)
+    routes = zip(ac_range(m, 1, n_max), diffs, _intervals(m, 1, n_max))
     mismatches = []
-    for (n, closed, _), interval in zip(ac_range(m, 1, n_max), _intervals(m, 1, n_max)):
-        diff = None if sturmian_simple else ac_via_prefix_counts(m, n)
+    for (n, closed, _), diff, interval in routes:
         brute = interval.ac
         if closed != brute or (diff is not None and diff != closed):
             mismatches.append((n, closed, diff, brute))

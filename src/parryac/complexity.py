@@ -26,6 +26,10 @@ A record's first n takes one greedy pass for the digits of both x and y;
 each later n steps them by the odometer of `numeration` and changes each W
 by 0 or 1, an amortized O(1) of small-int work per n.  A record with one
 requested n takes the pass alone and keeps no digits.
+
+The prefix-difference route walks the same stages apart from the
+records: 1 + |w_n|_B - |v_n|_B with one fresh greedy pass per n, and
+ac_via_prefix_counts is its one-n case.
 """
 
 from __future__ import annotations
@@ -34,17 +38,8 @@ from functools import partial
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .extremal import (
-    _split_stage,
-    _w_stage_length,
-    _wv_stage_length,
-    choose_k_nonsimple,
-    choose_mn_simple,
-    v_b_count_simple,
-    w_b_count_nonsimple,
-    w_b_count_simple,
-)
-from .numeration import Rows, _top_rows, b_weights, digit_lists, prefix_b_count
+from .extremal import _split_stage, _w_stage_nonsimple, _wv_stage, _wv_stage_length
+from .numeration import Rows, _top_rows, b_weights, digit_lists
 from .words import Family, Morphism, UnsupportedConstructionError, V, W, _integer
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -69,8 +64,8 @@ def _nonsimple_stages(rows: Rows, k: int | None = None) -> Iterator[tuple]:
     while True:
         top, k_top = rows.top, rows.top + 2 if k is None else k
         k_rows = rows.at(k_top)
-        yield (k_rows, rows.u(top + 1) - 1, rows.u(top), _w_stage_length(k_rows, k_top) + 1,
-               1 + k_rows.u(k_top), -1, 0, k_rows.u(k_top + 1))
+        length, count, complement = _w_stage_nonsimple(k_rows, k_top)
+        yield k_rows, rows.u(top + 1) - 1, rows.u(top), length + 1, 1 + count, -1, 0, complement
         rows = rows.at(top + 1)
 
 
@@ -185,22 +180,63 @@ def ac(m: Morphism, n: int) -> ACResult:
     return next(ac_range(m, n, n))
 
 
+def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
+    """1 + |w_n|_B - |v_n|_B for n = start..stop, in order, stage by stage.
+
+    Each stage's bracketing lengths and prefix B-sums come once, from the
+    extremal helpers behind the public *_b_count_* functions; each n then
+    takes one fresh greedy pass over its two values, never the odometer,
+    so this route shares no per-n step with the closed form.  Non-simple:
+    the stage k = N + 2 of choose_k_nonsimple, with W(U_{k+1} - n) for w
+    and W(n) for the fixed point itself.  Simple with q > 1: the stages
+    (M, N) of choose_mn_simple, with W(n - |w^(N)|) and W(n - |v^(M)|).
+    Every n asserts its stage bracket.
+    """
+    rows, first = _top_rows(m, start), start
+    while True:
+        last = rows.u(rows.top + 1) - 1  # the last n at this top
+        if m.family is Family.NONSIMPLE:
+            k = rows.top + 2
+            k_rows = rows.at(k)
+            length, count, complement = _w_stage_nonsimple(k_rows, k)
+            for n in range(first, min(last, stop) + 1):
+                assert n <= length, (m, n, length)
+                weight_w, weight_u = b_weights(k_rows, complement - n, n)
+                yield 1 + count - weight_w - weight_u
+        else:
+            threshold, below, above = _split_stage(rows)
+            for (m_stage, n_stage), end in ((below, threshold - 1), (above, last)):
+                if end < first:
+                    continue
+                w_low, w_high, w_count = _wv_stage(rows, W, n_stage)
+                v_low, v_high, v_count = _wv_stage(rows, V, m_stage)
+                for n in range(first, min(end, stop) + 1):
+                    assert w_low <= n < w_high and v_low <= n < v_high, (m, n)
+                    weight_w, weight_v = b_weights(rows, n - w_low, n - v_low)
+                    yield 1 + w_count + weight_w - v_count - weight_v
+                if end >= stop:
+                    return
+                first = end + 1
+        if last >= stop:
+            return
+        rows, first = rows.at(rows.top + 1), last + 1
+
+
 def ac_via_prefix_counts(m: Morphism, n: int) -> int:
     """AC(n) = 1 + |w_n|_B - |v_n|_B from the two prefix B-counts.
 
     An independent route through the extremal-word counts; must agree with
     the closed form everywhere.  For the non-simple family |v_n|_B is the
-    B-count of the fixed-point prefix itself.
+    B-count of the fixed-point prefix itself.  The one-n case of the
+    stage walk `verify` runs, whose stage sums are those of
+    w_b_count_nonsimple, w_b_count_simple and v_b_count_simple; raises
+    UnsupportedConstructionError for simple q = 1, which has no v and w.
     """
     n = _integer(n, "n")
-    if m.family is Family.NONSIMPLE:
-        k = choose_k_nonsimple(m, n)
-        return 1 + w_b_count_nonsimple(m, n, k) - prefix_b_count(m, n)
-    if m.q == 1:
+    if m.family is Family.SIMPLE and m.q == 1:
         raise UnsupportedConstructionError(
             "prefix-difference route needs the v/w construction, absent for simple q = 1")
-    m_stage, n_stage, _ = choose_mn_simple(m, n)
-    return 1 + w_b_count_simple(m, n, n_stage) - v_b_count_simple(m, n, m_stage)
+    return next(_prefix_differences(m, n, n))
 
 
 def max_ac(m: Morphism) -> int:

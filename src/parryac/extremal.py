@@ -97,9 +97,19 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     _require_family(m, Family.NONSIMPLE, "w_b_count_nonsimple")
     n, k = _integer(n, "n"), _integer(k, "k", 0)
     rows = place_rows(m, k)
-    if n > _w_stage_length(rows, k):
-        raise IndexError(f"n={n} exceeds |w^({k})|={_w_stage_length(rows, k)}; pick a larger k")
-    return rows.u(k) - b_weights(rows, rows.u(k + 1) - n)[0]
+    length, count, complement = _w_stage_nonsimple(rows, k)
+    if n > length:
+        raise IndexError(f"n={n} exceeds |w^({k})|={length}; pick a larger k")
+    return count - b_weights(rows, complement - n)[0]
+
+
+def _w_stage_nonsimple(rows: Rows, k: int) -> tuple[int, int, int]:
+    """(|w^(k)|, U_k, U_{k+1}) from rows near k, unchecked.
+
+    For n <= |w^(k)| the length-n prefix of w holds U_k - W(U_{k+1} - n)
+    B's, W the b_weights sum.
+    """
+    return _w_stage_length(rows, k), rows.u(k), rows.u(k + 1)
 
 
 # --- simple family (q > 1) ----------------------------------------------------
@@ -185,15 +195,25 @@ def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> 
     _require_simple_extremal(m, operation)
     n, stage = _integer(n, "n"), _integer(stage, "stage", None)
     rows = _stage_rows(m, which, stage)
-    low = _wv_stage_length(rows, which, stage)
-    high = _wv_stage_length(rows, which, stage + 1)
+    low, high, count = _wv_stage(rows, which, stage)
     if not low <= n < high:
         raise ValueError(f"stage mismatch: need |{which}^({stage})|={low} <= n < "
                          f"|{which}^({stage + 1})|={high}, got n={n}")
     top = 2 * stage if which == V else 2 * stage - 1
     # n - low < high - low = (q-1) U_{top+2} < U_{top+3}: rows at top + 2 cover it
-    rest = b_weights(rows.at(top + 2), n - low)[0]
-    return (which == W) + (m.q - 1) * rows.sum((0, 1), top, 2) + rest
+    return count + b_weights(rows.at(top + 2), n - low)[0]
+
+
+def _wv_stage(rows: Rows, which: str, stage: int) -> tuple[int, int, int]:
+    """(|x^(stage)|, |x^(stage+1)|, |x^(stage)|_B) for x = v or w, unchecked.
+
+    Read from rows near 2 stage.  For n between the two lengths the
+    length-n prefix of x holds the third plus W(n - |x^(stage)|) B's, W
+    the b_weights sum.
+    """
+    top = 2 * stage if which == V else 2 * stage - 1
+    return (_wv_stage_length(rows, which, stage), _wv_stage_length(rows, which, stage + 1),
+            (which == W) + (rows.m.q - 1) * rows.sum((0, 1), top, 2))
 
 
 def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:

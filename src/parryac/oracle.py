@@ -2,8 +2,23 @@
 
 Everything here is computed from generated words alone, never from the
 closed-form modules, so it can serve as an independent oracle for them.
-A length-n window scan over a word uses a cumulative B-count array and
-costs O(len(word)) regardless of n.
+The extreme B-counts over a word's length-n windows come from the order
+statistics of its B positions.  With P[0] < ... < P[b-1] the positions of
+the b B's of a word of L letters, framed by P[-1] = -1 and P[b] = L, let
+
+    G(v) = min_j (P[j+v-1] - P[j] + 1),  the shortest span holding v B's,
+    H(v) = max_j (P[j+v] - P[j-1] - 1),  the longest stretch holding
+                                          exactly v B's.
+
+A window holding c B's spans at least G(c) letters, and a span of G(v)
+letters widens to a window of any n >= G(v) (n <= L) with at least v
+B's, so max_b(n) = max{v : G(v) <= n}.  A window holding c B's lies in a
+stretch of exactly c B's, and a stretch of H(v) >= n letters holds a
+length-n window with at most v B's, so min_b(n) = min{v : H(v) >= n}.
+Both G and H rise strictly with v, so max_b and min_b rise by 0 or 1 as
+n rises: a walk over n reads one O(b) reduction for each value it
+passes, and one n starts from the B-count of its first window, which
+lies between the two, and steps down and up from it.
 
 oracle_ac scans one word that provably holds every factor of length n.
 The fixed point u satisfies u = phi^k(u), so it is a concatenation of
@@ -57,13 +72,15 @@ class OracleInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParikhInterval:
-    """Extreme B-counts over all length-n windows of the scanned words.
+    """Extreme B-counts over all length-n windows of one scanned word.
 
     Every B-count between min_b and max_b is realized by some window
     (consecutive windows change their count by at most one), so the
-    corresponding complexity value is simply 1 + max_b - min_b.
+    corresponding complexity value is simply 1 + max_b - min_b.  Both
+    extremes are read from the word's B positions (see the module
+    docstring), not from a pass over its windows.
 
-    prefix_len_used is the number of letters scanned: the prefix length
+    prefix_len_used is the length of the scanned word: the prefix length
     for parikh_extrema, |phi^k(AABA)| for oracle_ac.  stabilized is True
     only from oracle_ac, whose scanned word is certified to hold every
     length-n factor.
@@ -84,34 +101,69 @@ class ParikhInterval:
         return 1 + self.max_b - self.min_b
 
 
-def _cumulative_b(text: str) -> np.ndarray:
-    """Array c with c[i] = number of B's among the first i letters of text."""
+def _b_positions(text: str) -> np.ndarray:
+    """The B positions of text in order, framed by -1 and len(text), as int32."""
     import numpy as np  # deferred: only the oracle needs numpy
 
-    assert len(text) < 1 << 31, f"{len(text)} letters overflow the int32 counts"
-    cum = np.zeros(len(text) + 1, dtype=np.int32)
-    cum[1:] = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE
-    np.cumsum(cum[1:], out=cum[1:])  # in place: a cumsum that casts the mask copies it whole
-    return cum
+    # a span from the frame -1 to len(text) has len(text) + 1 letters
+    assert len(text) + 1 < 1 << 31, f"{len(text)} letters overflow the int32 spans"
+    found = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == _B_CODE)
+    framed = np.empty(len(found) + 2, dtype=np.int32)
+    framed[0], framed[1:-1], framed[-1] = -1, found, len(text)
+    return framed
 
 
-def _interval(cum: np.ndarray, n: int, stabilized: bool = False) -> ParikhInterval:
-    """Extreme B-counts over the length-n windows of the word behind cum."""
-    win = cum[n:] - cum[:-n]
-    return ParikhInterval(n, int(win.min()), int(win.max()), len(cum) - 1, stabilized)
+def _extrema(framed: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """(min_b, max_b) over the length-n windows of a word, for n = start..stop in order.
+
+    framed comes from _b_positions, and stop is at most the word's length.
+    G and H are the module docstring's, one numpy reduction each; `span`
+    holds G(high + 1) and `reach` H(low), so a value is read again only
+    when n passes it.
+    """
+    count = len(framed) - 2
+
+    def shortest(v: int) -> int:  # G(v) for v >= 1, past any window for v > count
+        if v > count:
+            return int(framed[-1]) + 1
+        return int((framed[v:count + 1] - framed[1:count + 2 - v]).min()) + 1
+
+    def longest(v: int) -> int:  # H(v) for 0 <= v <= count
+        return int((framed[v + 1:] - framed[:count + 1 - v]).max()) - 1
+
+    # the B-count of the first window lies between min_b and max_b
+    low = high = int(framed.searchsorted(start)) - 1
+    while low and longest(low - 1) >= start:
+        low -= 1
+    # one n needs no H(low): the first window, or the step down, shows H(low) >= start
+    reach = longest(low) if stop > start else start
+    span = shortest(high + 1)
+    for n in range(start, stop + 1):
+        while reach < n:
+            low += 1
+            reach = longest(low)
+        while span <= n:
+            high += 1
+            span = shortest(high + 1)
+        yield low, high
 
 
 def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
-    """Min and max B-count over all length-n windows of the given prefix."""
+    """Min and max B-count over all length-n windows of the given prefix.
+
+    Read from the prefix's B positions (see the module docstring), in at
+    most max_b - min_b + 2 numpy reductions over them.
+    """
     n, prefix_len = _integer(n, "n"), _integer(prefix_len, "prefix_len", None)
     if prefix_len < n:
         raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
-    return _interval(_cumulative_b(fixed_point_prefix(m, prefix_len)), n)
+    low, high = next(_extrema(_b_positions(fixed_point_prefix(m, prefix_len)), n, n))
+    return ParikhInterval(n, low, high, prefix_len)
 
 
 @lru_cache(maxsize=1)
-def _block_pair_counts(m: Morphism, k: int) -> np.ndarray:
-    """Cumulative B-count of phi^k(AABA), which holds phi^k(AA), phi^k(AB), phi^k(BA).
+def _block_pair_positions(m: Morphism, k: int) -> np.ndarray:
+    """The framed B positions of phi^k(AABA), which holds phi^k(AA), phi^k(AB), phi^k(BA).
 
     One entry serves a library loop that calls oracle_ac for n upwards:
     consecutive n share their level, so each level's word is built once.
@@ -119,28 +171,31 @@ def _block_pair_counts(m: Morphism, k: int) -> np.ndarray:
     word = "AABA"
     for _ in range(k):
         word = apply(m, word)
-    return _cumulative_b(word)
+    return _b_positions(word)
 
 
 def _intervals(m: Morphism, start: int, stop: int) -> Iterator[ParikhInterval]:
     """oracle_ac's interval for each n = start..stop, in order.
 
     The level k and its rows step up only when n passes |phi^k(B)| + 1, so
-    a range searches and checks each level once, not once per n.
+    a range searches, checks and builds each level once, not once per n,
+    and walks the level's n over its B positions.
     """
     k, row_a, row_b = 0, (1, 0), (0, 1)
-    last = start - 1  # the last n the current level serves; none yet
-    for n in range(start, stop + 1):
-        if n > last:
-            while sum(row_b) < n - 1:
-                k, row_a, row_b = k + 1, parikh_image(m, row_a), parikh_image(m, row_b)
-            letters = 3 * sum(row_a) + sum(row_b)
-            if letters > GENERATION_CAP:
-                raise OracleInstabilityError(
-                    f"the certified scan for n={n} needs phi^{k}(AABA) of {letters} letters, "
-                    f"over the generation cap of {GENERATION_CAP}")
-            cum, last = _block_pair_counts(m, k), sum(row_b) + 1
-        yield _interval(cum, n, True)
+    first = start
+    while first <= stop:
+        while sum(row_b) < first - 1:
+            k, row_a, row_b = k + 1, parikh_image(m, row_a), parikh_image(m, row_b)
+        letters = 3 * sum(row_a) + sum(row_b)
+        if letters > GENERATION_CAP:
+            raise OracleInstabilityError(
+                f"the certified scan for n={first} needs phi^{k}(AABA) of {letters} letters, "
+                f"over the generation cap of {GENERATION_CAP}")
+        last = min(sum(row_b) + 1, stop)  # the last n this level serves
+        framed = _block_pair_positions(m, k)
+        for n, (low, high) in enumerate(_extrema(framed, first, last), first):
+            yield ParikhInterval(n, low, high, letters, True)
+        first = last + 1
 
 
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:

@@ -326,8 +326,9 @@ def test_verify_rejects_empty_range(capsys):
 def test_verify_reports_each_mismatch(capsys, monkeypatch):
     # one wrong prefix-difference value is reported on its own line, and
     # no OK line follows
-    right = cli.ac_via_prefix_counts
-    monkeypatch.setattr(cli, "ac_via_prefix_counts", lambda m, n: right(m, n) + (n == 7))
+    right = cli._prefix_differences
+    monkeypatch.setattr(cli, "_prefix_differences", lambda m, start, stop: (
+        value + (n == 7) for n, value in enumerate(right(m, start, stop), start)))
     code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
     assert code == EX_MISMATCH
     assert out == "MISMATCH n=7: closed_form=3 prefix_difference=4 oracle=3\n"

@@ -285,6 +285,34 @@ def test_closed_form_equals_prefix_difference_around_u_past_the_row_list(m):
             assert ac(m, n).value == ac_via_prefix_counts(m, n), (j, n)
 
 
+def _public_prefix_difference(m, n):
+    """1 + |w_n|_B - |v_n|_B through the public stage choice and B-count functions."""
+    if m.family is Family.NONSIMPLE:
+        return 1 + w_b_count_nonsimple(m, n, choose_k_nonsimple(m, n)) - prefix_b_count(m, n)
+    m_stage, n_stage, _ = choose_mn_simple(m, n)
+    return 1 + w_b_count_simple(m, n, n_stage) - v_b_count_simple(m, n, m_stage)
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL + NONSIMPLE_GRID)
+def test_prefix_difference_walk_equals_public_composition(m):
+    # the stage walk verify runs, from 1, from inside a stage, around U_j and
+    # past the row list, against the per-n public functions
+    expected = [_public_prefix_difference(m, n) for n in range(1, 3001)]
+    assert list(complexity._prefix_differences(m, 1, 3000)) == expected
+    j = top_index(m, 1000)
+    middle = (u_value(m, j) + min(u_value(m, j + 1), 3000)) // 2
+    assert u_value(m, j) < middle < u_value(m, j + 1) - 1
+    assert list(complexity._prefix_differences(m, middle, 3000)) == expected[middle - 1:]
+    for j in range(1, 12):
+        u = u_value(m, j)
+        for start in (u - 1, u, u + 1):
+            got = list(complexity._prefix_differences(m, start, start + 20))
+            assert got == [_public_prefix_difference(m, n) for n in range(start, start + 21)], start
+    start = 10 ** 40
+    assert list(complexity._prefix_differences(m, start, start + 299)) == [
+        _public_prefix_difference(m, n) for n in range(start, start + 300)]
+
+
 # the morphisms of test_ac_range_equals_ac_at_5000_digits but the Sturmian simple one,
 # which has no prefix-difference route
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])

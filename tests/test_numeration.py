@@ -312,9 +312,9 @@ def test_one_top_window_per_call(m, monkeypatch):
     assert count(ac, n) == (1, 1)
     # the odometer's first digits come from the pass on the record's rows
     assert count(lambda *args: list(ac_range(*args)), n, n + 50) == (1, 1)
-    # the choice of stage, then |w_n|_B and |v_n|_B at their stages (non-simple:
-    # |v_n|_B = prefix_b_count(n)), one pass each
-    assert count(ac_via_prefix_counts, n) == (3, 2)
+    # the stage's lengths and sums from n's top window, then one pass for the
+    # greedy values behind both |w_n|_B and |v_n|_B
+    assert count(ac_via_prefix_counts, n) == (1, 1)
 
 
 # --- the odometer ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -55,6 +56,32 @@ def test_parikh_extrema_matches_reference_scan(m):
         expected = ref_window_interval(text, n)
         got = parikh_extrema(m, n, 600)
         assert (got.min_b, got.max_b) == expected
+
+
+def _texts_without_bb():
+    rng = random.Random(2211)
+    texts = ["A", "B", "AAAAAAA", "BAAABAAB", "BA", "AB", "ABABABA", "BAAAAAAAAA", "AAAAAAAAAB"]
+    for _ in range(200):
+        letters = []
+        for _ in range(rng.randint(1, 80)):
+            letters.append("A" if letters[-1:] == ["B"] or rng.random() < 0.6 else "B")
+        texts.append("".join(letters))
+    return texts
+
+
+def test_order_statistics_extrema_match_reference_scan(nonsimple31, monkeypatch):
+    # texts with no B, starting or ending with B, and every n up to the single
+    # window n = len: one n at a time and as one walk
+    for text in _texts_without_bb():
+        assert "BB" not in text
+        monkeypatch.setattr(oracle, "fixed_point_prefix", lambda m, length: text[:length])
+        expected = [ref_window_interval(text, n) for n in range(1, len(text) + 1)]
+        got = [parikh_extrema(nonsimple31, n, len(text)) for n in range(1, len(text) + 1)]
+        assert [(i.min_b, i.max_b) for i in got] == expected, text
+        framed = oracle._b_positions(text)
+        assert list(oracle._extrema(framed, 1, len(text))) == expected, text
+        middle = (len(text) + 1) // 2
+        assert list(oracle._extrema(framed, middle, len(text))) == expected[middle - 1:], text
 
 
 def test_parikh_set_examples(nonsimple31, simple32):
@@ -204,7 +231,7 @@ def test_oracle_ac_holds_under_12_bytes_per_scanned_letter(nonsimple31):
     # count and a copy of it
     import numpy  # noqa: F401  loaded before tracing, as any earlier scan would have
 
-    oracle._block_pair_counts.cache_clear()
+    oracle._block_pair_positions.cache_clear()
     tracemalloc.start()
     try:
         got = oracle_ac(nonsimple31, 20000)
@@ -213,6 +240,23 @@ def test_oracle_ac_holds_under_12_bytes_per_scanned_letter(nonsimple31):
         tracemalloc.stop()
     assert got.prefix_len_used == 259808
     assert peak < 12 * got.prefix_len_used
+
+
+def test_cold_oracle_ac_holds_under_8_bytes_per_scanned_letter(nonsimple31):
+    # the word, its bytes and mask, and the B positions: no array of one count
+    # per letter, at the peak or in the level kept for the next call
+    import numpy  # noqa: F401  loaded before tracing, as any earlier scan would have
+
+    oracle._block_pair_positions.cache_clear()
+    tracemalloc.start()
+    try:
+        got = oracle_ac(nonsimple31, 20000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.prefix_len_used == 259808
+    assert peak < 8 * got.prefix_len_used
+    assert kept < 2 * got.prefix_len_used
 
 
 @pytest.mark.parametrize("m", STURMIAN_SIMPLE)
