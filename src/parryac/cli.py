@@ -26,9 +26,9 @@ import sys
 from functools import lru_cache
 from itertools import islice, repeat
 
-from .complexity import _prefix_differences, ac_range, balance_bound, max_ac
+from .complexity import METHOD_STURMIAN, _ac_values, _prefix_differences, balance_bound, max_ac
 from .numeration import normal_u_rep
-from .oracle import ORACLE_N_CAP, OracleInstabilityError, _intervals, oracle_ac, parikh_extrema
+from .oracle import ORACLE_N_CAP, OracleInstabilityError, _certified_extrema, oracle_ac, parikh_extrema
 from .words import (
     CapExceededError,
     Family,
@@ -138,19 +138,19 @@ def _cmd_ac(m: Morphism, args) -> int:
     n_end = args.n_end if args.n_end is not None else n_start
     if n_start < 1 or n_end < n_start:
         raise ValueError(f"need 1 <= n <= n_end, got n={n_start}, n_end={n_end}")
-    results = ac_range(m, n_start, n_end)
+    method, values = _ac_values(m, n_start, n_end)
+    results = zip(range(n_start, n_end + 1), values)
     if args.format == "csv":
         head, sep, tail = "n,ac,method\n", "\n", "\n"
-        rows = (f"{n},{value},{method}" for n, value, method in results)
+        rows = (f"{n},{value},{method}" for n, value in results)
     elif args.format == "json":
         # the bytes json.dumps gives for the whole payload: rows go between head and tail
         envelope = json.dumps({**_identity(m), "results": []})
         head, sep, tail = envelope[:-2], ", ", envelope[-2:] + "\n"
-        rows = (f'{{"n": "{n}", "ac": {value}, "method": "{method}"}}'
-                for n, value, method in results)
+        rows = (f'{{"n": "{n}", "ac": {value}, "method": "{method}"}}' for n, value in results)
     else:
         head, sep, tail = "", "\n", "\n"
-        rows = (f"{n} {value} {method}" for n, value, method in results)
+        rows = (f"{n} {value} {method}" for n, value in results)
     write = sys.stdout.write
     write(head)
     lead = ""
@@ -179,13 +179,13 @@ def _cmd_verify(m: Morphism, args) -> int:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > ORACLE_N_CAP:
         raise ValueError(f"n_max={n_max} exceeds the oracle cap {ORACLE_N_CAP}")
-    # the simple family with q = 1 has no v and w, so no prefix difference
-    sturmian_simple = m.family is Family.SIMPLE and m.q == 1
-    diffs = repeat(None) if sturmian_simple else _prefix_differences(m, 1, n_max)
-    routes = zip(ac_range(m, 1, n_max), diffs, _intervals(m, 1, n_max))
+    # the Sturmian family (simple, q = 1) has no v and w, so no prefix difference
+    method, closed_forms = _ac_values(m, 1, n_max)
+    diffs = repeat(None) if method == METHOD_STURMIAN else _prefix_differences(m, 1, n_max)
+    routes = zip(range(1, n_max + 1), closed_forms, diffs, _certified_extrema(m, 1, n_max))
     mismatches = []
-    for (n, closed, _), diff, interval in routes:
-        brute = interval.ac
+    for n, closed, diff, (_, low, high) in routes:
+        brute = 1 + high - low
         if closed != brute or (diff is not None and diff != closed):
             mismatches.append((n, closed, diff, brute))
     if mismatches:

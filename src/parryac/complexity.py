@@ -21,7 +21,8 @@ Everything in the formulas but the digits depends on n only through its
 stage, which changes when n reaches the next U_J.  One builder per family
 turns stages into records, AC(n) = base +- W(x) - W(y) with W the greedy
 pass, and one loop walks consecutive n over them from one top window;
-ac_range streams its values, and ac and ac_nonsimple are its one-n case.
+ac_range streams its values, bare ints that it wraps in ACResult records
+(the CLI reads the ints), and ac and ac_nonsimple are its one-n case.
 A record's first n takes one greedy pass for the digits of both x and y;
 each later n steps them by the odometer of `numeration` and changes each W
 by 0 or 1, an amortized O(1) of small-int work per n.  A record with one
@@ -151,6 +152,16 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     return next(_values((record,), n, n))
 
 
+def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[int]]:
+    """The method, and AC(n) for n = start..stop as bare ints, unchecked: the one
+    family dispatch.  The Sturmian stream is an endless 2 that callers zip with n."""
+    if m.family is Family.SIMPLE and m.q == 1:
+        return METHOD_STURMIAN, repeat(2)
+    rows = _top_rows(m, start)
+    records = _simple_stages(rows, start) if m.family is Family.SIMPLE else _nonsimple_stages(rows)
+    return METHOD_CLOSED_FORM, _values(records, start, stop)
+
+
 def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     """AC(n) for n = start..stop inclusive, in order, as a lazy iterator.
 
@@ -161,12 +172,8 @@ def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     start, stop = _integer(start, "start"), _integer(stop, "stop", None)
     if stop < start:
         raise ValueError(f"stop={stop} is below start={start}")
-    lengths = range(start, stop + 1)
-    if m.family is Family.SIMPLE and m.q == 1:
-        return map(ACResult, lengths, repeat(2), repeat(METHOD_STURMIAN))
-    rows = _top_rows(m, start)
-    records = _simple_stages(rows, start) if m.family is Family.SIMPLE else _nonsimple_stages(rows)
-    return map(ACResult, lengths, _values(records, start, stop), repeat(METHOD_CLOSED_FORM))
+    method, values = _ac_values(m, start, stop)
+    return map(ACResult, range(start, stop + 1), values, repeat(method))
 
 
 def ac(m: Morphism, n: int) -> ACResult:

@@ -174,12 +174,13 @@ def _block_pair_positions(m: Morphism, k: int) -> np.ndarray:
     return _b_positions(word)
 
 
-def _intervals(m: Morphism, start: int, stop: int) -> Iterator[ParikhInterval]:
-    """oracle_ac's interval for each n = start..stop, in order.
+def _certified_extrema(m: Morphism, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(|phi^k(AABA)|, min_b, max_b) of oracle_ac for each n = start..stop, in order.
 
     The level k and its rows step up only when n passes |phi^k(B)| + 1, so
     a range searches, checks and builds each level once, not once per n,
-    and walks the level's n over its B positions.
+    and walks the level's n over its B positions.  Every n gets
+    ParikhInterval's check, and its error, without the record.
     """
     k, row_a, row_b = 0, (1, 0), (0, 1)
     first = start
@@ -194,8 +195,16 @@ def _intervals(m: Morphism, start: int, stop: int) -> Iterator[ParikhInterval]:
         last = min(sum(row_b) + 1, stop)  # the last n this level serves
         framed = _block_pair_positions(m, k)
         for n, (low, high) in enumerate(_extrema(framed, first, last), first):
-            yield ParikhInterval(n, low, high, letters, True)
+            if not 0 <= low <= high <= n:
+                ParikhInterval(n, low, high, letters, True)  # raises the inconsistent interval
+            yield letters, low, high
         first = last + 1
+
+
+def _intervals(m: Morphism, start: int, stop: int) -> Iterator[ParikhInterval]:
+    """oracle_ac's interval for each n = start..stop, in order: the bare walk's, as records."""
+    return (ParikhInterval(n, low, high, letters, True)
+            for n, (letters, low, high) in enumerate(_certified_extrema(m, start, stop), start))
 
 
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:

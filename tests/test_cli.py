@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import parryac
-from parryac import ac, cli, make_morphism, normal_u_rep, oracle, u_rep_value, words
+from parryac import ac, cli, complexity, make_morphism, normal_u_rep, oracle, u_rep_value, words
 from parryac.cli import (
     EX_MISMATCH,
     EX_OK,
@@ -332,6 +332,48 @@ def test_verify_reports_each_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
     assert code == EX_MISMATCH
     assert out == "MISMATCH n=7: closed_form=3 prefix_difference=4 oracle=3\n"
+
+
+def test_verify_reports_a_wrong_closed_form_value(capsys, monkeypatch):
+    right = complexity._values
+    monkeypatch.setattr(complexity, "_values", lambda records, start, stop: (
+        value + (n == 7) for n, value in enumerate(right(records, start, stop), start)))
+    code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
+    assert code == EX_MISMATCH
+    assert out == "MISMATCH n=7: closed_form=4 prefix_difference=3 oracle=3\n"
+
+
+def off_at_7(extrema):
+    """oracle._extrema with max_b one too high at n = 7, still a valid interval."""
+    return lambda framed, start, stop: (
+        (low, high + (n == 7)) for n, (low, high) in enumerate(extrema(framed, start, stop), start))
+
+
+def test_verify_reports_a_wrong_oracle_value(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_extrema", off_at_7(oracle._extrema))
+    code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
+    assert code == EX_MISMATCH
+    assert out == "MISMATCH n=7: closed_form=3 prefix_difference=3 oracle=4\n"
+
+
+def test_verify_reports_a_sturmian_mismatch_without_prefix_difference(capsys, monkeypatch):
+    # the simple family with q = 1 has no v and w, so its column reads n/a
+    monkeypatch.setattr(oracle, "_extrema", off_at_7(oracle._extrema))
+    code, out, _ = run(capsys, ["verify", *S41, "--n-max", "10"])
+    assert code == EX_MISMATCH
+    assert out == "MISMATCH n=7: closed_form=2 prefix_difference=n/a oracle=3\n"
+
+
+def test_verify_checks_every_oracle_interval(capsys, monkeypatch):
+    # min_b above max_b at n = 7 (its true interval is [1, 3]) is a usage-level error
+    right = oracle._extrema
+    monkeypatch.setattr(oracle, "_extrema", lambda framed, start, stop: (
+        (high + 1, high) if n == 7 else (low, high)
+        for n, (low, high) in enumerate(right(framed, start, stop), start)))
+    code, out, err = run(capsys, ["verify", *NS31, "--n-max", "10"])
+    assert (code, out) == (EX_USAGE, "")
+    assert err == ("error: inconsistent interval: ParikhInterval(n=7, min_b=4, max_b=3, "
+                   "prefix_len_used=48, stabilized=True)\n")
 
 
 def test_verify_exits_2_at_the_first_n_over_the_cap(capsys, monkeypatch):
