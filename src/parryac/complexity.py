@@ -18,19 +18,21 @@ det(I - M), which is -q or 1 - p - q, or by det(I - M^2) for a sum over
 every other index.
 
 Everything in the formulas but the digits depends on n only through its
-stage, which changes when n reaches the next U_J.  One builder per family
-turns stages into records, AC(n) = base +- W(x) - W(y) with W the greedy
-pass, and one loop walks consecutive n over them from one top window;
-ac_range streams its values, bare ints that it wraps in ACResult records
-(the CLI reads the ints), and ac and ac_nonsimple are its one-n case.
-A record's first n takes one greedy pass for the digits of both x and y;
-each later n steps them by the odometer of `numeration` and changes each W
-by 0 or 1, an amortized O(1) of small-int work per n.  A record with one
-requested n takes the pass alone and keeps no digits.
+stage: k = N + 2 in the non-simple family and (M, N) in the simple one,
+where it changes once between U_J and U_{J+1}.  One walk,
+extremal._spans, cuts a range of n into spans of one stage and one top J;
+_record turns a span's stage into AC(n) = base +- W(x) - W(y), W the
+greedy pass, and _values walks the span's n from one top window.
+ac_range streams those values, bare ints that it wraps in ACResult
+records (the CLI reads the ints), and ac and ac_nonsimple are its one-n
+case.  A span's first n takes one greedy pass for the digits of both x
+and y; each later n steps them by the odometer of `numeration` and
+changes each W by 0 or 1, an amortized O(1) of small-int work per n.  A
+span of one n takes the pass alone and keeps no digits.
 
-The prefix-difference route walks the same stages apart from the
-records: 1 + |w_n|_B - |v_n|_B with one fresh greedy pass per n, and
-ac_via_prefix_counts is its one-n case.
+The prefix-difference route reads the same spans but not the records:
+1 + |w_n|_B - |v_n|_B from each stage's lengths and B-sums, with one
+fresh greedy pass per n, and ac_via_prefix_counts is its one-n case.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from functools import partial
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .extremal import _split_stage, _w_stage_nonsimple, _wv_stage, _wv_stage_length
-from .numeration import Rows, _top_rows, b_weights, digit_lists
+from .extremal import _spans, _w_stage_length, _w_stage_nonsimple, _wv_stage, _wv_stage_length
+from .numeration import Rows, b_weights, digit_lists
 from .words import Family, Morphism, UnsupportedConstructionError, V, W, _integer
 
 METHOD_CLOSED_FORM = "closed_form"
@@ -55,67 +57,54 @@ class ACResult(NamedTuple):
     method: str
 
 
-def _nonsimple_stages(rows: Rows, k: int | None = None) -> Iterator[tuple]:
-    """Stage records of the non-simple family, one per N, from rows at n's top N.
+def _record(rows: Rows, stage: int | tuple[int, int]) -> tuple:
+    """The closed form over one stage of extremal._spans, from the rows at its top J.
 
-    The formula is ac_nonsimple's, over rows at k, by default N + 2 as in
-    choose_k_nonsimple: |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0
-    in this family, so W(n) and W(U_{k+1} - n) are its two digit sums.
-    """
-    while True:
-        top, k_top = rows.top, rows.top + 2 if k is None else k
-        k_rows = rows.at(k_top)
-        length, count, complement = _w_stage_nonsimple(k_rows, k_top)
-        yield k_rows, rows.u(top + 1) - 1, rows.u(top), length + 1, 1 + count, -1, 0, complement
-        rows = rows.at(top + 1)
+    Returns (rows, low, high, base, sign, x0, y0): AC(n) = base + sign W(x)
+    - W(y) for low <= n < high, with x = n - x0, y = sign (n - y0) and W
+    the b_weights sum over the returned rows.
 
+    Non-simple, stage k: the formula is ac_nonsimple's, over rows at k:
+    |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
+    W(n) and W(U_{k+1} - n) are its two digit sums.
 
-def _simple_stages(rows: Rows, start: int) -> Iterator[tuple]:
-    """Stage records of the simple family with q > 1, from rows at start's top J.
-
-    With stages (M, N, J) from choose_mn_simple, (c) the greedy digits of
-    n - |w^(N)| and (d) those of n - |v^(M)|, both padded to J+1 places:
+    Simple with q > 1, stage (M, N): with (c) the greedy digits of
+    n - |w^(N)| and (d) those of n - |v^(M)|, both padded to J+1 places,
 
         AC(n) = 2 + (q-1) * (T - (M-N+1) |phi^(2N)(A)|_B)
                   + sum_i (c_i - d_i) |phi^i(A)|_B,
 
     where T = sum_{i=0..N-1} (|phi^(2i+1)(A)|_B - |phi^(2i)(A)|_B) is the
     telescoped form of the alternating matrix-power sum, kept in pure
-    integer arithmetic.  Within U_J <= n < U_{J+1}, (M, N) takes one of
-    two values on either side of a threshold (extremal._split_stage): two
-    records per J, less one that ends below start, skipped before its sums.
+    integer arithmetic.
     """
-    while True:
-        stage_length = partial(_wv_stage_length, rows)
-        threshold, below, above = _split_stage(rows)
-        for (m_stage, n_stage), last in ((below, threshold - 1), (above, rows.u(rows.top + 1) - 1)):
-            if last < start:
-                continue
-            w_low, w_high = stage_length(W, n_stage), stage_length(W, n_stage + 1)
-            v_low, v_high = stage_length(V, m_stage), stage_length(V, m_stage + 1)
-            # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
-            # term extends T's even sum to 2M
-            base = 2 + (rows.m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)
-                                         - rows.sum((0, 1), 2 * m_stage, 2))
-            yield rows, last, max(w_low, v_low), min(w_high, v_high), base, 1, w_low, v_low
-        rows = rows.at(rows.top + 1)
+    if rows.m.family is Family.NONSIMPLE:
+        k_rows = rows.at(stage)
+        length, count, complement = _w_stage_nonsimple(k_rows, stage)
+        return k_rows, rows.u(rows.top), length + 1, 1 + count, -1, 0, complement
+    m_stage, n_stage = stage
+    stage_length = partial(_wv_stage_length, rows)
+    w_low, w_high = stage_length(W, n_stage), stage_length(W, n_stage + 1)
+    v_low, v_high = stage_length(V, m_stage), stage_length(V, m_stage + 1)
+    # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
+    # term extends T's even sum to 2M
+    base = 2 + (rows.m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)
+                                 - rows.sum((0, 1), 2 * m_stage, 2))
+    return rows, max(w_low, v_low), min(w_high, v_high), base, 1, w_low, v_low
 
 
-def _values(records: Iterable[tuple], start: int, stop: int) -> Iterator[int]:
-    """AC(n) for n = start..stop, from the stage records that cover them in order.
+def _values(spans: Iterable[tuple]) -> Iterator[int]:
+    """AC(n) for the n of each span (rows, stage, first, last) of extremal._spans, in order.
 
-    A record (rows, last, low, high, base, sign, x0, y0) covers the n of a
-    stage up to `last`, all in low <= n < high, with AC(n) = base +
-    sign W(x) - W(y), x = n - x0 and y = sign (n - y0), W = b_weights over
-    its rows.  A record's first n takes the full pass; when it covers more
-    n, that pass keeps the digits of x and y, and each later n steps them
-    by the plan's odometer: x up, and y up (sign 1) or down (sign -1).
+    Each span's _record gives AC(n) = base + sign W(x) - W(y).  A span's
+    first n takes the full pass; when it holds more n, that pass keeps the
+    digits of x and y, and each later n steps them by the plan's odometer:
+    x up, and y up (sign 1) or down (sign -1).
     """
-    n = start
-    for rows, last, low, high, base, sign, x0, y0 in records:
-        end = min(last, stop)
-        x, y = n - x0, sign * (n - y0)
-        if n == end:
+    for rows, stage, first, last in spans:
+        rows, low, high, base, sign, x0, y0 = _record(rows, stage)
+        x, y = first - x0, sign * (first - y0)
+        if first == last:
             weight_x, weight_y = b_weights(rows, x, y)
         else:
             (digits_x, digits_y), (weight_x, weight_y) = digit_lists(rows, (x, y))
@@ -124,15 +113,12 @@ def _values(records: Iterable[tuple], start: int, stop: int) -> Iterator[int]:
             up = rows._plan.up
             step_y = up if sign > 0 else rows._plan.down
         value = base + sign * weight_x - weight_y
-        for n in range(n, end + 1):
+        for n in range(first, last + 1):
             assert low <= n < high, (rows.m, n, low, high)
             assert value >= 2, (rows.m, n, value)
             yield value
-            if n < end:
+            if n < last:
                 value += sign * up(digits_x) - step_y(digits_y)
-        if last >= stop:
-            return
-        n = last + 1
 
 
 def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
@@ -146,10 +132,10 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     if m.family is not Family.NONSIMPLE:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
     n, k = _integer(n, "n"), None if k is None else _integer(k, "k", 0)
-    record = next(_nonsimple_stages(_top_rows(m, n), k))
-    if n >= record[3]:  # record[3] is |w^(k)| + 1, and only an explicit k can fail
-        raise ValueError(f"k={k} is inadmissible: n={n} exceeds |w^({k})|={record[3] - 1}")
-    return next(_values((record,), n, n))
+    rows, stage, _, _ = next(_spans(m, n, n))
+    if k is not None and n > (length := _w_stage_length(rows.at(k), k)):
+        raise ValueError(f"k={k} is inadmissible: n={n} exceeds |w^({k})|={length}")
+    return next(_values(((rows, stage if k is None else k, n, n),)))
 
 
 def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[int]]:
@@ -157,9 +143,7 @@ def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[int]]:
     family dispatch.  The Sturmian stream is an endless 2 that callers zip with n."""
     if m.family is Family.SIMPLE and m.q == 1:
         return METHOD_STURMIAN, repeat(2)
-    rows = _top_rows(m, start)
-    records = _simple_stages(rows, start) if m.family is Family.SIMPLE else _nonsimple_stages(rows)
-    return METHOD_CLOSED_FORM, _values(records, start, stop)
+    return METHOD_CLOSED_FORM, _values(_spans(m, start, stop))
 
 
 def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
@@ -188,7 +172,7 @@ def ac(m: Morphism, n: int) -> ACResult:
 
 
 def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
-    """1 + |w_n|_B - |v_n|_B for n = start..stop, in order, stage by stage.
+    """1 + |w_n|_B - |v_n|_B for n = start..stop, in order, over extremal._spans.
 
     Each stage's bracketing lengths and prefix B-sums come once, from the
     extremal helpers behind the public *_b_count_* functions; each n then
@@ -199,34 +183,22 @@ def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
     (M, N) of choose_mn_simple, with W(n - |w^(N)|) and W(n - |v^(M)|).
     Every n asserts its stage bracket.
     """
-    rows, first = _top_rows(m, start), start
-    while True:
-        last = rows.u(rows.top + 1) - 1  # the last n at this top
+    for rows, stage, first, last in _spans(m, start, stop):
         if m.family is Family.NONSIMPLE:
-            k = rows.top + 2
-            k_rows = rows.at(k)
-            length, count, complement = _w_stage_nonsimple(k_rows, k)
-            for n in range(first, min(last, stop) + 1):
+            k_rows = rows.at(stage)
+            length, count, complement = _w_stage_nonsimple(k_rows, stage)
+            for n in range(first, last + 1):
                 assert n <= length, (m, n, length)
                 weight_w, weight_u = b_weights(k_rows, complement - n, n)
                 yield 1 + count - weight_w - weight_u
         else:
-            threshold, below, above = _split_stage(rows)
-            for (m_stage, n_stage), end in ((below, threshold - 1), (above, last)):
-                if end < first:
-                    continue
-                w_low, w_high, w_count = _wv_stage(rows, W, n_stage)
-                v_low, v_high, v_count = _wv_stage(rows, V, m_stage)
-                for n in range(first, min(end, stop) + 1):
-                    assert w_low <= n < w_high and v_low <= n < v_high, (m, n)
-                    weight_w, weight_v = b_weights(rows, n - w_low, n - v_low)
-                    yield 1 + w_count + weight_w - v_count - weight_v
-                if end >= stop:
-                    return
-                first = end + 1
-        if last >= stop:
-            return
-        rows, first = rows.at(rows.top + 1), last + 1
+            m_stage, n_stage = stage
+            w_low, w_high, w_count = _wv_stage(rows, W, n_stage)
+            v_low, v_high, v_count = _wv_stage(rows, V, m_stage)
+            for n in range(first, last + 1):
+                assert w_low <= n < w_high and v_low <= n < v_high, (m, n)
+                weight_w, weight_v = b_weights(rows, n - w_low, n - v_low)
+                yield 1 + w_count + weight_w - v_count - weight_v
 
 
 def ac_via_prefix_counts(m: Morphism, n: int) -> int:

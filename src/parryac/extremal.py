@@ -13,6 +13,7 @@ logarithmic-time complexity formulas possible.
 from __future__ import annotations
 
 from functools import partial
+from typing import Iterator
 
 from .numeration import Rows, _top_rows, b_weights, place_rows, top_index
 from .words import (
@@ -156,35 +157,53 @@ def _wv_stage_length(rows: Rows, which: str, stage: int) -> int:
     return 1 + (rows.m.q - 1) * rows.sum((1, 1), top, 2)
 
 
-def _split_stage(rows: Rows) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """How the n with U_J <= n < U_{J+1}, J = rows.top, choose their stages (M, N).
+def _spans(m: Morphism, start: int, stop: int) -> Iterator[tuple[Rows, int | tuple[int, int], int, int]]:
+    """(rows, stage, first, last) for each stage and top J that hold some of start..stop, in order.
 
-    Returns (threshold, below, above): n < threshold takes (M, N) = below
-    and n >= threshold takes above.  For even J, N = J/2 and the threshold
-    is |v^(J/2)|, with M = J/2 - 1 below it and J/2 above; for odd J,
+    first..last is their part of start..stop, never empty, and rows are at
+    J, with U_J <= n < U_{J+1}.  The non-simple stage is k = J + 2 of
+    choose_k_nonsimple, one per J.  The simple stages (M, N), for q > 1,
+    split J's n at a threshold: for even J, N = J/2 and the threshold is
+    |v^(J/2)|, with M = J/2 - 1 below it and J/2 above; for odd J,
     M = (J-1)/2 and the threshold is |w^((J+1)/2)|, with N = (J-1)/2 below
-    it and (J+1)/2 above.
+    it and (J+1)/2 above, so a simple stage can hold n of two J.  This is
+    the only code that steps from one stage to the next: each J's rows
+    come from the last J's by one Rows.at.
     """
-    half = rows.top // 2
-    if rows.top % 2 == 0:
-        return _wv_stage_length(rows, V, half), (half - 1, half), (half, half)
-    return _wv_stage_length(rows, W, half + 1), (half, half), (half, half + 1)
+    rows, first = _top_rows(m, start), start
+    while True:
+        top, half = rows.top, rows.top // 2
+        end = rows.u(top + 1) - 1  # the last n at this top
+        if m.family is Family.NONSIMPLE:
+            stages = ((top + 2, end),)
+        elif top % 2 == 0:
+            threshold = _wv_stage_length(rows, V, half)
+            stages = ((half - 1, half), threshold - 1), ((half, half), end)
+        else:
+            threshold = _wv_stage_length(rows, W, half + 1)
+            stages = ((half, half), threshold - 1), ((half, half + 1), end)
+        for stage, last in stages:
+            if last < first:
+                continue
+            yield rows, stage, first, min(last, stop)
+            if last >= stop:
+                return
+            first = last + 1
+        rows = rows.at(top + 1)
 
 
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     """Stage indices (M, N, J) for a prefix length n >= 1.
 
     J satisfies U_J <= n < U_{J+1}, and (M, N) comes from the split of
-    J's n at one stage length (_split_stage).  The result brackets n by
+    J's n at one stage length (_spans).  The result brackets n by
     stages: |w^(N)| <= n < |w^(N+1)| and |v^(M)| <= n < |v^(M+1)|, where
     |v^(-1)| is taken to be 1.
     """
     _require_simple_extremal(m, "choose_mn_simple")
     n = _integer(n, "n")
-    rows = _top_rows(m, n)
+    rows, (m_stage, n_stage), _, _ = next(_spans(m, n, n))
     stage_length = partial(_wv_stage_length, rows)
-    threshold, below, above = _split_stage(rows)
-    m_stage, n_stage = above if threshold <= n else below
     assert stage_length(W, n_stage) <= n < stage_length(W, n_stage + 1)
     assert stage_length(V, m_stage) <= n < stage_length(V, m_stage + 1)
     return m_stage, n_stage, rows.top

@@ -235,12 +235,7 @@ class Rows:
         if k < 0:
             return 0
         places = self._plan.places
-        # below place 128 the pairs are read in place: this runs once or
-        # more per n on the prefix-difference route
-        if k + step < _LOW_PLACES:
-            (u_k, b_k), (u_k1, b_k1) = places[k], places[k + step]
-        else:
-            (u_k, b_k), (u_k1, b_k1) = self.place(k), self.place(k + step)
+        (u_k, b_k), (u_k1, b_k1) = self.place(k), self.place(k + step)
         # x_j = wa |phi^j(A)|_A + wb |phi^j(A)|_B = wa U_j + wb' |phi^j(A)|_B
         wa, wb = weights
         wb -= wa
@@ -260,23 +255,16 @@ def place_rows(m: Morphism, top: int) -> Rows:
     return Rows(_plan(m), top)
 
 
-def _list_top(places: list[tuple[int, int]], n: int) -> int:
-    # the last j with U_j <= n, and 0 for n = 0
-    return max(bisect_right(places, n, key=itemgetter(0)) - 1, 0)
-
-
 def top_index(m: Morphism, n: int) -> int:
     """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
-    n = _integer(n, "n", 0)
-    places = _plan(m).places
-    return _list_top(places, n) if n < places[-1][0] else _top_rows(m, n).top
+    return _top_rows(m, _integer(n, "n", 0)).top
 
 
 def _top_rows(m: Morphism, n: int) -> Rows:
     """place_rows(m, top_index(m, n)), with one window for the search and the rows."""
     plan = _plan(m)
-    if n < plan.places[-1][0]:
-        return Rows(plan, _list_top(plan.places, n))
+    if n < plan.places[-1][0]:  # the last j with U_j <= n, and 0 for n = 0
+        return Rows(plan, max(bisect_right(plan.places, n, key=itemgetter(0)) - 1, 0))
     # U_j is within a small factor of beta^j, so the estimate is off by a place or two
     top = int((n.bit_length() - 1) / plan.log2_beta)
     rows = Rows(plan, top)
@@ -305,8 +293,9 @@ def b_weights(rows: Rows, x: int, y: int = 0) -> tuple[int, int]:
     if top >= _LOW_PLACES:
         splits = _splits(plan, top)
         return _greedy(plan, splits, x, top)[0], _greedy(plan, splits, y, top)[0]
-    # two values in one loop that skips zero digits: complexity's one-n
-    # records read W(x) and W(y) here, and two _greedy calls cost about 1 us more
+    # two values in one loop that skips zero digits: the prefix-difference
+    # route in verify reads W(x) and W(y) here per n, and two _greedy calls
+    # cost about 1 us more
     weight_x = weight_y = 0
     for u, count_b in plan.places[top::-1]:
         if x >= u:

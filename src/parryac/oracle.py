@@ -201,12 +201,6 @@ def _certified_extrema(m: Morphism, start: int, stop: int) -> Iterator[tuple[int
         first = last + 1
 
 
-def _intervals(m: Morphism, start: int, stop: int) -> Iterator[ParikhInterval]:
-    """oracle_ac's interval for each n = start..stop, in order: the bare walk's, as records."""
-    return (ParikhInterval(n, low, high, letters, True)
-            for n, (letters, low, high) in enumerate(_certified_extrema(m, start, stop), start))
-
-
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     """Certified window interval for length n; its `ac` is 1 + max - min.
 
@@ -219,4 +213,5 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     n = _integer(n, "n")
     if n > ORACLE_N_CAP:
         raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
-    return next(_intervals(m, n, n))
+    letters, low, high = next(_certified_extrema(m, n, n))
+    return ParikhInterval(n, low, high, letters, True)

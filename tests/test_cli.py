@@ -335,9 +335,10 @@ def test_verify_reports_each_mismatch(capsys, monkeypatch):
 
 
 def test_verify_reports_a_wrong_closed_form_value(capsys, monkeypatch):
+    # verify's spans start at n = 1
     right = complexity._values
-    monkeypatch.setattr(complexity, "_values", lambda records, start, stop: (
-        value + (n == 7) for n, value in enumerate(right(records, start, stop), start)))
+    monkeypatch.setattr(complexity, "_values", lambda spans: (
+        value + (n == 7) for n, value in enumerate(right(spans), 1)))
     code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
     assert code == EX_MISMATCH
     assert out == "MISMATCH n=7: closed_form=4 prefix_difference=3 oracle=3\n"

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from parryac import extremal
 from parryac import (
     Family,
     UnsupportedConstructionError,
@@ -325,6 +326,55 @@ def test_extremal_prefixes_realize_oracle_interval(m):
             w_count = w_b_count_simple(m, n, n_stage)
         assert interval.min_b == v_count
         assert interval.max_b == w_count
+
+
+def _starts(m):
+    """Starts around U_j, around each simple threshold, and at 1 and 10^40."""
+    starts = {1, 10 ** 40}
+    for j in [*range(1, 12), 127, 128, 129]:
+        edges = [u_value(m, j)]
+        if m.family is Family.SIMPLE:  # the n of U_j <= n < U_{j+1} split at a stage length
+            which, stage = ("v", j // 2) if j % 2 == 0 else ("w", j // 2 + 1)
+            edges.append(wv_stage_length_simple(m, which, stage))
+        starts.update(edge + d for edge in edges for d in (-1, 0, 1))
+    return sorted(starts)
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL + NONSIMPLE_GRID)
+def test_spans_split_a_range_into_one_span_per_stage(m):
+    # every n is bracketed by the public stage lengths, not through _spans
+    for start in _starts(m):
+        stop = start + 60
+        spans = list(extremal._spans(m, start, stop))
+        assert [first for _, _, first, _ in spans] == [start] + [last + 1 for *_, last in spans[:-1]]
+        assert spans[-1][3] == stop
+        # a simple stage can reach across some U_J, where its n change rows
+        keys = [(rows.top, stage) for rows, stage, _, _ in spans]
+        assert keys == sorted(set(keys)), start
+        for rows, stage, first, last in spans:
+            assert u_value(m, rows.top) <= first <= last < u_value(m, rows.top + 1)
+            if m.family is Family.NONSIMPLE:
+                assert stage == rows.top + 2
+                assert last <= w_stage_length_nonsimple(m, stage)
+            else:
+                m_stage, n_stage = stage
+                assert wv_stage_length_simple(m, "w", n_stage) <= first
+                assert last < wv_stage_length_simple(m, "w", n_stage + 1)
+                assert wv_stage_length_simple(m, "v", m_stage) <= first
+                assert last < wv_stage_length_simple(m, "v", m_stage + 1)
+        for rows, stage, _, last in spans[:-1]:
+            # the span ended with its stage or its top: n = last + 1 is outside one of them
+            ends = {u_value(m, rows.top + 1)}
+            if m.family is Family.SIMPLE:
+                ends |= {wv_stage_length_simple(m, "w", stage[1] + 1),
+                         wv_stage_length_simple(m, "v", stage[0] + 1)}
+            assert last + 1 in ends, (start, last)
+    # a stop inside the first span gives that span alone, cut at the stop
+    rows, stage, first, last = next(extremal._spans(m, 10 ** 40, 10 ** 41))
+    middle = (first + last) // 2
+    assert first < middle < last
+    assert [(span[0].top, *span[1:]) for span in extremal._spans(m, first, middle)] == [
+        (rows.top, stage, first, middle)]
 
 
 # --- O(1) stage sums against plain summation, stages 0..300 -----------------------

@@ -215,15 +215,19 @@ def test_level_walk_matches_oracle_ac_per_n(m):
     while not last_ns or last_ns[-1] < 3000:
         last_ns.append(len(image_b) + 1)
         image_b = ref_apply(m, image_b)
-    expected = [oracle_ac(m, n) for n in range(1, 3001)]
-    assert list(oracle._intervals(m, 1, 3000)) == expected
+
+    def per_n(start, stop):
+        intervals = (oracle_ac(m, n) for n in range(start, stop + 1))
+        return [(got.prefix_len_used, got.min_b, got.max_b) for got in intervals]
+
+    expected = per_n(1, 3000)
+    assert list(oracle._certified_extrema(m, 1, 3000)) == expected
     first, last = next((a + 1, b) for a, b in zip(last_ns, last_ns[1:]) if b >= 1000)
     middle = (first + last) // 2
     assert first < middle < last
-    assert list(oracle._intervals(m, middle, 3000)) == expected[middle - 1:]
+    assert list(oracle._certified_extrema(m, middle, 3000)) == expected[middle - 1:]
     top = last_ns[-1]
-    assert list(oracle._intervals(m, top - 1, top + 2)) == [
-        oracle_ac(m, n) for n in range(top - 1, top + 3)]
+    assert list(oracle._certified_extrema(m, top - 1, top + 2)) == per_n(top - 1, top + 2)
 
 
 def test_oracle_ac_holds_under_12_bytes_per_scanned_letter(nonsimple31):
