@@ -30,9 +30,12 @@ and y; each later n steps them by the odometer of `numeration` and
 changes each W by 0 or 1, an amortized O(1) of small-int work per n.  A
 span of one n takes the pass alone and keeps no digits.
 
-The prefix-difference route reads the same spans but not the records:
-1 + |w_n|_B - |v_n|_B from each stage's lengths and B-sums, with one
-fresh greedy pass per n, and ac_via_prefix_counts is its one-n case.
+The prefix-difference route, 1 + |w_n|_B - |v_n|_B, reads the same
+spans and records but takes one fresh greedy pass per n, never the
+odometer, so over a range it checks each odometer step against a pass
+of its own; ac_via_prefix_counts is its one-n case, which makes ac's own
+computation.  The public B-count functions of `extremal`, which build
+their own windows and stage sums, stay the reference for both routes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import partial
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .extremal import _spans, _w_stage_length, _w_stage_nonsimple, _wv_stage, _wv_stage_length
+from .extremal import _spans, _w_stage_length, _w_stage_nonsimple, _wv_stage_length
 from .numeration import Rows, b_weights, digit_lists
 from .words import Family, Morphism, UnsupportedConstructionError, V, W, _integer
 
@@ -174,42 +177,28 @@ def ac(m: Morphism, n: int) -> ACResult:
 def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
     """1 + |w_n|_B - |v_n|_B for n = start..stop, in order, over extremal._spans.
 
-    Each stage's bracketing lengths and prefix B-sums come once, from the
-    extremal helpers behind the public *_b_count_* functions; each n then
-    takes one fresh greedy pass over its two values, never the odometer,
-    so this route shares no per-n step with the closed form.  Non-simple:
-    the stage k = N + 2 of choose_k_nonsimple, with W(U_{k+1} - n) for w
-    and W(n) for the fixed point itself.  Simple with q > 1: the stages
-    (M, N) of choose_mn_simple, with W(n - |w^(N)|) and W(n - |v^(M)|).
-    Every n asserts its stage bracket.
+    Each span's _record gives the stage bracket and AC(n) = base + sign
+    W(x) - W(y); each n then takes one fresh greedy pass over x and y,
+    never the odometer, so this walk checks _values' steps against
+    passes of their own.  Every n asserts its stage bracket.
     """
     for rows, stage, first, last in _spans(m, start, stop):
-        if m.family is Family.NONSIMPLE:
-            k_rows = rows.at(stage)
-            length, count, complement = _w_stage_nonsimple(k_rows, stage)
-            for n in range(first, last + 1):
-                assert n <= length, (m, n, length)
-                weight_w, weight_u = b_weights(k_rows, complement - n, n)
-                yield 1 + count - weight_w - weight_u
-        else:
-            m_stage, n_stage = stage
-            w_low, w_high, w_count = _wv_stage(rows, W, n_stage)
-            v_low, v_high, v_count = _wv_stage(rows, V, m_stage)
-            for n in range(first, last + 1):
-                assert w_low <= n < w_high and v_low <= n < v_high, (m, n)
-                weight_w, weight_v = b_weights(rows, n - w_low, n - v_low)
-                yield 1 + w_count + weight_w - v_count - weight_v
+        rows, low, high, base, sign, x0, y0 = _record(rows, stage)
+        for n in range(first, last + 1):
+            assert low <= n < high, (m, n, low, high)
+            weight_x, weight_y = b_weights(rows, n - x0, sign * (n - y0))
+            yield base + sign * weight_x - weight_y
 
 
 def ac_via_prefix_counts(m: Morphism, n: int) -> int:
     """AC(n) = 1 + |w_n|_B - |v_n|_B from the two prefix B-counts.
 
-    An independent route through the extremal-word counts; must agree with
-    the closed form everywhere.  For the non-simple family |v_n|_B is the
-    B-count of the fixed-point prefix itself.  The one-n case of the
-    stage walk `verify` runs, whose stage sums are those of
-    w_b_count_nonsimple, w_b_count_simple and v_b_count_simple; raises
-    UnsupportedConstructionError for simple q = 1, which has no v and w.
+    For the non-simple family |v_n|_B is the B-count of the fixed-point
+    prefix itself.  The one-n case of the stage walk `verify` runs, which
+    reads ac's stage records and takes a fresh greedy pass per n: over a
+    range it checks the closed form's odometer, and for one n it repeats
+    ac's computation.  Raises UnsupportedConstructionError for simple
+    q = 1, which has no v and w.
     """
     n = _integer(n, "n")
     if m.family is Family.SIMPLE and m.q == 1:

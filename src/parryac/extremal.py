@@ -214,25 +214,14 @@ def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> 
     _require_simple_extremal(m, operation)
     n, stage = _integer(n, "n"), _integer(stage, "stage", None)
     rows = _stage_rows(m, which, stage)
-    low, high, count = _wv_stage(rows, which, stage)
+    low, high = _wv_stage_length(rows, which, stage), _wv_stage_length(rows, which, stage + 1)
     if not low <= n < high:
         raise ValueError(f"stage mismatch: need |{which}^({stage})|={low} <= n < "
                          f"|{which}^({stage + 1})|={high}, got n={n}")
     top = 2 * stage if which == V else 2 * stage - 1
+    count = (which == W) + (rows.m.q - 1) * rows.sum((0, 1), top, 2)  # |x^(stage)|_B
     # n - low < high - low = (q-1) U_{top+2} < U_{top+3}: rows at top + 2 cover it
     return count + b_weights(rows.at(top + 2), n - low)[0]
-
-
-def _wv_stage(rows: Rows, which: str, stage: int) -> tuple[int, int, int]:
-    """(|x^(stage)|, |x^(stage+1)|, |x^(stage)|_B) for x = v or w, unchecked.
-
-    Read from rows near 2 stage.  For n between the two lengths the
-    length-n prefix of x holds the third plus W(n - |x^(stage)|) B's, W
-    the b_weights sum.
-    """
-    top = 2 * stage if which == V else 2 * stage - 1
-    return (_wv_stage_length(rows, which, stage), _wv_stage_length(rows, which, stage + 1),
-            (which == W) + (rows.m.q - 1) * rows.sum((0, 1), top, 2))
 
 
 def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:

@@ -47,10 +47,9 @@ defined only for n >= 1.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import index, itemgetter, mul
+from operator import index, mul
 from typing import Sequence
 
 from .words import Family, Morphism, _integer
@@ -263,12 +262,10 @@ def top_index(m: Morphism, n: int) -> int:
 def _top_rows(m: Morphism, n: int) -> Rows:
     """place_rows(m, top_index(m, n)), with one window for the search and the rows."""
     plan = _plan(m)
-    if n < plan.places[-1][0]:  # the last j with U_j <= n, and 0 for n = 0
-        return Rows(plan, max(bisect_right(plan.places, n, key=itemgetter(0)) - 1, 0))
     # U_j is within a small factor of beta^j, so the estimate is off by a place or two
-    top = int((n.bit_length() - 1) / plan.log2_beta)
+    top = max(int((n.bit_length() - 1) / plan.log2_beta), 0)
     rows = Rows(plan, top)
-    while rows.u(top) > n:
+    while top and rows.u(top) > n:  # n = 0 stops at place 0
         top -= 1
     while rows.u(top + 1) <= n:
         top += 1
@@ -431,6 +428,10 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tup
         return weight, digits
     # x's digits at places >= h, the largest split <= top, are those of m, the largest f(m) <= x
     h, u, g, s1, lag, scale = splits[(top // _LOW_PLACES).bit_length() - 1]
+    if x < u:  # m = 0: only the lower half has digits
+        weight, digits = _greedy(plan, splits, x, h - 1)
+        digits += repeat(0, top - h + 1)
+        return weight, digits
     m = max(_quotient(x, u, g, s1, scale), 0)
     weight, digits = _greedy(plan, splits, m, top - h + 1)  # with a spare place
     rest = x - m * u + g * weight

@@ -317,8 +317,11 @@ def test_prefix_difference_walk_equals_public_composition(m):
 # which has no prefix-difference route
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])
 def test_closed_form_equals_prefix_difference_at_5000_digits(m):
+    # for one n the walk repeats ac's computation; the public B-count
+    # functions build their own windows and stage sums
     n = 7 * 10 ** 4999 + 12345
     assert ac_via_prefix_counts(m, n) == ac(m, n).value
+    assert ac(m, n).value == _public_prefix_difference(m, n)
 
 
 # --- bounds -----------------------------------------------------------------------------

@@ -493,6 +493,27 @@ def test_split_estimates_take_at_most_eight_steps(monkeypatch, offset, exact):
             normal_u_rep(m, n)
 
 
+@pytest.mark.parametrize("m", BASELINE, ids=str)
+def test_values_below_a_split_take_the_lower_half_alone(monkeypatch, m):
+    # a value below U_h has no digit at places >= h, so a split node passes
+    # it to its lower half alone: one call per split and one leaf for each of
+    # 5 and b_weights' default 0, where a full pass opens every upper half
+    rows, expected = place_rows(m, 2000), prefix_b_count(m, 5)
+    splits = len(numeration._splits(numeration._plan(m), rows.top))
+    greedy, calls = numeration._greedy, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return greedy(*args)
+
+    monkeypatch.setattr(numeration, "_greedy", counted)
+    assert b_weights(rows, 5) == (expected, 0)
+    assert splits == 4 and len(calls) <= 2 * (splits + 1), calls
+    (digits,), _ = digit_lists(rows, (5,))
+    low = normal_u_rep(m, 5)[::-1]
+    assert digits == [*low, *[0] * (rows.top + 1 - len(low))]
+
+
 def test_concurrent_cold_start_keeps_u_values_exact():
     # threads build one cold morphism's plan at once, then read places on
     # both sides of the row list's end
