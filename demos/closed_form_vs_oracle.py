@@ -2,8 +2,9 @@
 
 Sweeps a few morphisms from each family over a range of lengths and prints
 the complexity profile with all three routes side by side.  The oracle
-enumerates sliding windows over generated words and knows nothing about
-the formulas, so agreement here is a genuine cross-check.
+reads the extreme window B-counts of generated words from their B
+positions and knows nothing about the formulas, so agreement here is a
+genuine cross-check.
 """
 
 import time

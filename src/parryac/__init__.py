@@ -1,7 +1,7 @@
 """Abelian complexity of binary fixed points of quadratic Parry morphisms.
 
 Closed-form AC(n) in O(log n) exact integer operations for both morphism
-families, an independent sliding-window oracle, greedy U-representations,
+families, an independent brute-force oracle, greedy U-representations,
 and generators for the fixed point and its extremal companion words.
 """
 

@@ -30,12 +30,11 @@ and y; each later n steps them by the odometer of `numeration` and
 changes each W by 0 or 1, an amortized O(1) of small-int work per n.  A
 span of one n takes the pass alone and keeps no digits.
 
-The prefix-difference route, 1 + |w_n|_B - |v_n|_B, reads the same
-spans and records but takes one fresh greedy pass per n, never the
-odometer, so over a range it checks each odometer step against a pass
-of its own; ac_via_prefix_counts is its one-n case, which makes ac's own
-computation.  The public B-count functions of `extremal`, which build
-their own windows and stage sums, stay the reference for both routes.
+ac_via_prefix_counts, 1 + |w_n|_B - |v_n|_B, composes the public stage
+choice and B-count functions, which build their own windows and stage
+sums: it shares only the greedy pass with ac.  _prefix_differences reads
+ac_range's spans and records but takes a fresh greedy pass per n, never
+the odometer, so over a range `verify` checks each odometer step.
 """
 
 from __future__ import annotations
@@ -44,9 +43,11 @@ from functools import partial
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .extremal import _spans, _w_stage_length, _w_stage_nonsimple, _wv_stage_length
-from .numeration import Rows, b_weights, digit_lists
-from .words import Family, Morphism, UnsupportedConstructionError, V, W, _integer
+from .extremal import (_spans, _w_stage_length, _w_stage_nonsimple, _wv_stage_length,
+                       choose_k_nonsimple, choose_mn_simple, v_b_count_simple,
+                       w_b_count_nonsimple, w_b_count_simple)
+from .numeration import Rows, b_weights, digit_lists, prefix_b_count
+from .words import Family, Morphism, V, W, _integer
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_STURMIAN = "sturmian"
@@ -175,7 +176,7 @@ def ac(m: Morphism, n: int) -> ACResult:
 
 
 def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
-    """1 + |w_n|_B - |v_n|_B for n = start..stop, in order, over extremal._spans.
+    """1 + |w_n|_B - |v_n|_B for n = start..stop, in order, over extremal._spans: verify's walk.
 
     Each span's _record gives the stage bracket and AC(n) = base + sign
     W(x) - W(y); each n then takes one fresh greedy pass over x and y,
@@ -194,17 +195,16 @@ def ac_via_prefix_counts(m: Morphism, n: int) -> int:
     """AC(n) = 1 + |w_n|_B - |v_n|_B from the two prefix B-counts.
 
     For the non-simple family |v_n|_B is the B-count of the fixed-point
-    prefix itself.  The one-n case of the stage walk `verify` runs, which
-    reads ac's stage records and takes a fresh greedy pass per n: over a
-    range it checks the closed form's odometer, and for one n it repeats
-    ac's computation.  Raises UnsupportedConstructionError for simple
-    q = 1, which has no v and w.
+    prefix itself.  Each count comes from its public function, which
+    builds its own windows and stage sums and checks n's stage bracket,
+    so this route shares only the greedy pass with ac.  Raises
+    UnsupportedConstructionError for simple q = 1, which has no v and w.
     """
     n = _integer(n, "n")
-    if m.family is Family.SIMPLE and m.q == 1:
-        raise UnsupportedConstructionError(
-            "prefix-difference route needs the v/w construction, absent for simple q = 1")
-    return next(_prefix_differences(m, n, n))
+    if m.family is Family.NONSIMPLE:
+        return 1 + w_b_count_nonsimple(m, n, choose_k_nonsimple(m, n)) - prefix_b_count(m, n)
+    m_stage, n_stage, _ = choose_mn_simple(m, n)
+    return 1 + w_b_count_simple(m, n, n_stage) - v_b_count_simple(m, n, m_stage)
 
 
 def max_ac(m: Morphism) -> int:

@@ -1,4 +1,4 @@
-"""Brute-force Abelian complexity by sliding-window enumeration.
+"""Brute-force Abelian complexity from the B positions of generated words.
 
 Everything here is computed from generated words alone, never from the
 closed-form modules, so it can serve as an independent oracle for them.

@@ -285,19 +285,11 @@ def test_closed_form_equals_prefix_difference_around_u_past_the_row_list(m):
             assert ac(m, n).value == ac_via_prefix_counts(m, n), (j, n)
 
 
-def _public_prefix_difference(m, n):
-    """1 + |w_n|_B - |v_n|_B through the public stage choice and B-count functions."""
-    if m.family is Family.NONSIMPLE:
-        return 1 + w_b_count_nonsimple(m, n, choose_k_nonsimple(m, n)) - prefix_b_count(m, n)
-    m_stage, n_stage, _ = choose_mn_simple(m, n)
-    return 1 + w_b_count_simple(m, n, n_stage) - v_b_count_simple(m, n, m_stage)
-
-
 @pytest.mark.parametrize("m", SIMPLE_EXTREMAL + NONSIMPLE_GRID)
 def test_prefix_difference_walk_equals_public_composition(m):
     # the stage walk verify runs, from 1, from inside a stage, around U_j and
-    # past the row list, against the per-n public functions
-    expected = [_public_prefix_difference(m, n) for n in range(1, 3001)]
+    # past the row list, against the per-n public composition
+    expected = [ac_via_prefix_counts(m, n) for n in range(1, 3001)]
     assert list(complexity._prefix_differences(m, 1, 3000)) == expected
     j = top_index(m, 1000)
     middle = (u_value(m, j) + min(u_value(m, j + 1), 3000)) // 2
@@ -307,21 +299,36 @@ def test_prefix_difference_walk_equals_public_composition(m):
         u = u_value(m, j)
         for start in (u - 1, u, u + 1):
             got = list(complexity._prefix_differences(m, start, start + 20))
-            assert got == [_public_prefix_difference(m, n) for n in range(start, start + 21)], start
+            assert got == [ac_via_prefix_counts(m, n) for n in range(start, start + 21)], start
     start = 10 ** 40
     assert list(complexity._prefix_differences(m, start, start + 299)) == [
-        _public_prefix_difference(m, n) for n in range(start, start + 300)]
+        ac_via_prefix_counts(m, n) for n in range(start, start + 300)]
 
 
 # the morphisms of test_ac_range_equals_ac_at_5000_digits but the Sturmian simple one,
 # which has no prefix-difference route
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])
 def test_closed_form_equals_prefix_difference_at_5000_digits(m):
-    # for one n the walk repeats ac's computation; the public B-count
-    # functions build their own windows and stage sums
+    # the public B-count functions build their own windows and stage sums
     n = 7 * 10 ** 4999 + 12345
     assert ac_via_prefix_counts(m, n) == ac(m, n).value
-    assert ac(m, n).value == _public_prefix_difference(m, n)
+
+
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]], ids=str)
+def test_ac_via_prefix_counts_shares_no_closed_form_code(m, monkeypatch):
+    # the second route reads neither ac's stage records, its walks nor its
+    # digit lists, so a fault there cannot show in both routes at once
+    ns = list(range(1, 301)) + [7 * 10 ** 4999 + 12345]
+    for j in (127, 128, 129):
+        ns += [u_value(m, j) - 1, u_value(m, j), u_value(m, j) + 1]
+    expected = [ac(m, n).value for n in ns]
+
+    def refuse(*args):
+        raise AssertionError("closed-form code called")
+
+    for name in ("_record", "_values", "_prefix_differences", "digit_lists"):
+        monkeypatch.setattr(complexity, name, refuse)
+    assert [ac_via_prefix_counts(m, n) for n in ns] == expected
 
 
 # --- bounds -----------------------------------------------------------------------------

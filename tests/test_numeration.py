@@ -286,9 +286,9 @@ def test_large_n_runs_in_a_few_megabytes(m):
 
 @pytest.mark.parametrize("m", BASELINE, ids=str)
 def test_one_top_window_per_call(m, monkeypatch):
-    # past the s list a window comes by doubling; a call takes one for n's top
-    # and reaches every other row it reads from that one.  Each greedy pass
-    # builds its own chain of split windows once, apart from those.
+    # past the s list a window comes by doubling; ac and ac_range take one for
+    # n's top and reach every other row they read from that one.  Each greedy
+    # pass builds its own chain of split windows once, apart from those.
     window, splits, doublings, chains = numeration._window, numeration._splits, [], []
 
     def counted(plan, k):
@@ -312,9 +312,9 @@ def test_one_top_window_per_call(m, monkeypatch):
     assert count(ac, n) == (1, 1)
     # the odometer's first digits come from the pass on the record's rows
     assert count(lambda *args: list(ac_range(*args)), n, n + 50) == (1, 1)
-    # the stage's lengths and sums from n's top window, then one pass for the
-    # greedy values behind both |w_n|_B and |v_n|_B
-    assert count(ac_via_prefix_counts, n) == (1, 1)
+    # the public composition builds its own: three top windows by doubling
+    # and two split chains, one pass each for |w_n|_B and |v_n|_B
+    assert count(ac_via_prefix_counts, n) == (3, 2)
 
 
 # --- the odometer ---------------------------------------------------------------------
