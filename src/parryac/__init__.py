@@ -35,7 +35,6 @@ from .numeration import (
     u_value,
 )
 from .oracle import (
-    ORACLE_N_CAP,
     OracleInstabilityError,
     ParikhInterval,
     oracle_ac,
@@ -65,8 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "A", "B", "GENERATION_CAP", "UBETA", "V", "W",
     "ACResult", "CapExceededError", "Family", "Morphism",
-    "METHOD_CLOSED_FORM", "METHOD_STURMIAN",
-    "ORACLE_N_CAP", "OracleInstabilityError", "ParikhInterval",
+    "METHOD_CLOSED_FORM", "METHOD_STURMIAN", "OracleInstabilityError", "ParikhInterval",
     "ParikhVector", "UnsupportedConstructionError",
     "ac", "ac_nonsimple", "ac_range", "ac_via_prefix_counts", "apply",
     "balance_bound", "choose_k_nonsimple", "choose_mn_simple",

@@ -28,7 +28,7 @@ from itertools import islice, repeat
 
 from .complexity import METHOD_STURMIAN, _ac_values, _prefix_differences, balance_bound, max_ac
 from .numeration import normal_u_rep
-from .oracle import ORACLE_N_CAP, OracleInstabilityError, _certified_extrema, oracle_ac, parikh_extrema
+from .oracle import OracleInstabilityError, _certified_extrema, oracle_ac, parikh_extrema
 from .words import (
     CapExceededError,
     Family,
@@ -70,12 +70,6 @@ def _decimal(text: str) -> int:
         return int(text, 10)
     except ValueError:
         # never echo a long input whole
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        digits = sum(c.isdigit() for c in text)
-        if limit and digits > limit:
-            raise argparse.ArgumentTypeError(
-                f"a {digits}-digit integer exceeds this interpreter's limit of {limit} "
-                "digits for int-string conversion")
         shown = repr(text[:20]) + (f"... ({len(text)} characters)" if len(text) > 20 else "")
         raise argparse.ArgumentTypeError(f"not a decimal integer: {shown}")
 
@@ -177,8 +171,6 @@ def _cmd_verify(m: Morphism, args) -> int:
     n_max = args.n_max
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if n_max > ORACLE_N_CAP:
-        raise ValueError(f"n_max={n_max} exceeds the oracle cap {ORACLE_N_CAP}")
     # the Sturmian family (simple, q = 1) has no v and w, so no prefix difference
     method, closed_forms = _ac_values(m, 1, n_max)
     diffs = repeat(None) if method == METHOD_STURMIAN else _prefix_differences(m, 1, n_max)
@@ -237,16 +229,21 @@ def _print_record(m: Morphism, fmt: str, fields: dict, plain: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # integers of any length, in and out: the int-string limit is lifted for the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         args = build_parser().parse_args(argv)
+        return args.handler(Morphism(args.p, args.q, args.family), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    try:
-        return args.handler(Morphism(args.p, args.q, args.family), args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    finally:
+        set_limit(limit)
 
 
 def entrypoint() -> None:

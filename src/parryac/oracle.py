@@ -57,9 +57,6 @@ from .words import (
 if TYPE_CHECKING:
     import numpy as np
 
-#: Largest factor length oracle_ac accepts.
-ORACLE_N_CAP = 10 ** 5
-
 _B_CODE = ord(B)
 
 
@@ -177,12 +174,12 @@ def _block_pair_positions(m: Morphism, k: int) -> np.ndarray:
 def _certified_extrema(m: Morphism, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
     """(|phi^k(AABA)|, min_b, max_b) of oracle_ac for each n = start..stop, in order.
 
-    The level k and its rows step up only when n passes |phi^k(B)| + 1, so
-    a range searches, checks and builds each level once, not once per n,
-    and walks the level's n over its B positions.  Every n gets
-    ParikhInterval's check, and its error, without the record.
+    The level k and its rows step up only when n passes |phi^k(B)| + 1.  A
+    range checks every level's length against the cap before it builds the
+    first, builds each once, and walks its n over its B positions.  Every n
+    gets ParikhInterval's check, and its error, without the record.
     """
-    k, row_a, row_b = 0, (1, 0), (0, 1)
+    levels, k, row_a, row_b = [], 0, (1, 0), (0, 1)
     first = start
     while first <= stop:
         while sum(row_b) < first - 1:
@@ -193,12 +190,14 @@ def _certified_extrema(m: Morphism, start: int, stop: int) -> Iterator[tuple[int
                 f"the certified scan for n={first} needs phi^{k}(AABA) of {letters} letters, "
                 f"over the generation cap of {GENERATION_CAP}")
         last = min(sum(row_b) + 1, stop)  # the last n this level serves
+        levels.append((k, letters, first, last))
+        first = last + 1
+    for k, letters, first, last in levels:
         framed = _block_pair_positions(m, k)
         for n, (low, high) in enumerate(_extrema(framed, first, last), first):
             if not 0 <= low <= high <= n:
                 ParikhInterval(n, low, high, letters, True)  # raises the inconsistent interval
             yield letters, low, high
-        first = last + 1
 
 
 def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
@@ -211,7 +210,5 @@ def oracle_ac(m: Morphism, n: int) -> ParikhInterval:
     anything, when phi^k(AABA) is longer than GENERATION_CAP.
     """
     n = _integer(n, "n")
-    if n > ORACLE_N_CAP:
-        raise ValueError(f"n={n} exceeds the oracle cap {ORACLE_N_CAP}")
     letters, low, high = next(_certified_extrema(m, n, n))
     return ParikhInterval(n, low, high, letters, True)

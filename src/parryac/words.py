@@ -34,8 +34,8 @@ A = "A"
 B = "B"
 _LETTERS = frozenset((A, B))
 
-#: Ceiling on generated prefix lengths, in letters.  Requests beyond this
-#: raise CapExceededError instead of attempting the allocation.
+#: The one size limit, refused before any allocation: the most letters of a
+#: word prefix or the oracle's scanned word, and the most places normal_u_rep pads.
 GENERATION_CAP = 1 << 28
 
 #: Word targets accepted by word_prefix.
@@ -53,7 +53,7 @@ class Family(str, Enum):
 
 
 class CapExceededError(RuntimeError):
-    """A word-prefix request exceeded the configured generation cap."""
+    """A word-prefix or padding request exceeded the generation cap."""
 
 
 class UnsupportedConstructionError(ValueError):
@@ -167,6 +167,12 @@ def apply(m: Morphism, word: str) -> str:
 
 # --- word generation -----------------------------------------------------------
 
+def _cut_images(m: Morphism, length: int) -> tuple[str, str]:
+    """phi(A) and phi(B), each cut to at most length + 1 letters and never built whole."""
+    keep, tail_b = length + 1, B if m.family is Family.NONSIMPLE else ""
+    return (A * min(m.p, keep) + B)[:keep], (A * min(m.q, keep) + tail_b)[:keep]
+
+
 def _source_cut(word: str, images: tuple[str, str], length: int) -> int:
     """The shortest prefix of word whose image has more than `length` letters, or all of it.
 
@@ -198,7 +204,7 @@ def _iterate(m: Morphism, head: str, start: str, length: int, power: int = 1) ->
     `length` letters are those of the whole images, and no step builds more
     than length + |head| letters plus one letter image.
     """
-    images = base = (m.image_a, m.image_b)
+    images = base = _cut_images(m, length)
     for _ in range(power - 1):  # a cut B image stays no longer than A's, as _source_cut needs
         images = tuple(_image_prefix(image, base, length) for image in images)
     word = start
@@ -233,9 +239,9 @@ def word_prefix(m: Morphism, target: str, length: int) -> str:
     # simple q > 1: y = A^(q-1) phi^2(y), v = A y and w = B phi(y), where
     # phi(y) = phi(A^(q-1)) phi^2(phi(y)) has the same form.  A head cut to
     # more than `length` letters is the whole prefix, and no step is taken.
-    head = A * (m.q - 1)
+    head = A * min(m.q - 1, length + 1)
     if target == W:
-        head = _image_prefix(head, (m.image_a, m.image_b), length)
+        head = _image_prefix(head, _cut_images(m, length), length)
     return (A if target == V else B) + _iterate(m, head, head, length - 1, power=2)
 
 
@@ -244,6 +250,7 @@ def fixed_point_prefix(m: Morphism, length: int) -> str:
 
     Deterministic and prefix-stable: the result for a shorter length is
     always a prefix of the result for a longer one.  Each call costs
-    O(length + p) time and memory; nothing is cached between calls.
+    O(length) time and memory, whatever p and q; nothing is cached between
+    calls.
     """
     return word_prefix(m, UBETA, length)

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stdout, suppress
 from pathlib import Path
 
 import pytest
@@ -182,6 +182,13 @@ def test_urep_past_place_128(capsys, spec):
         assert digits == expected and u_rep_value(m, digits) == n, tail
     assert json.loads(out) == {"p": spec[0], "q": spec[1], "family": spec[2], "n": str(n),
                                "digits": list(expected)}
+
+
+def test_urep_places_over_the_cap_exits_64(capsys):
+    places = str(words.GENERATION_CAP + 1)
+    code, out, err = run(capsys, ["urep", *NS31, "--n", "5", "--places", places])
+    assert (code, out) == (EX_USAGE, "")
+    assert err.startswith("error: ") and "generation cap" in err
 
 
 def test_urep_rejects_negative_n(capsys):
@@ -378,8 +385,13 @@ def test_verify_checks_every_oracle_interval(capsys, monkeypatch):
 
 
 def test_verify_exits_2_at_the_first_n_over_the_cap(capsys, monkeypatch):
-    # n = 4 is the first n of level 2, whose word phi^2(AABA) has 48 letters
+    # n = 4 is the first n of level 2, whose word phi^2(AABA) has 48 letters;
+    # levels 0 and 1 fit, but the range is refused before any word is built
+    def no_build(*args):
+        raise AssertionError("a word was built")
+
     monkeypatch.setattr(oracle, "GENERATION_CAP", 47)
+    monkeypatch.setattr(oracle, "_block_pair_positions", no_build)
     code, out, err = run(capsys, ["verify", *NS31, "--n-max", "10"])
     assert code == EX_UNSTABLE
     assert out == ""
@@ -474,20 +486,50 @@ def test_long_malformed_n_is_not_echoed(capsys, argv):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("digits", [5000, 20000])
+def test_integers_past_the_int_string_limit(capsys, nonsimple31, digits):
+    # 7 * 10^(digits - 1) + 12345, built without an int-string conversion,
+    # which this interpreter may limit to 4,300 digits outside the CLI
+    n, text = 7 * 10 ** (digits - 1) + 12345, "7" + "0" * (digits - 6) + "12345"
+    value = ac(nonsimple31, n).value
+    assert run(capsys, ["ac", *NS31, "--n", text]) == (EX_OK, f"{text} {value} closed_form\n", "")
+    assert run(capsys, ["ac", *NS31, "--n", text, "--format", "csv"]) == (
+        EX_OK, f"n,ac,method\n{text},{value},closed_form\n", "")
+    assert run(capsys, ["ac", *NS31, "--n", text, "--format", "json"]) == (
+        EX_OK, '{"p": 3, "q": 1, "family": "nonsimple", "results": '
+               f'[{{"n": "{text}", "ac": {value}, "method": "closed_form"}}]}}\n', "")
+    digits_out = ",".join(map(str, normal_u_rep(nonsimple31, n)))
+    assert run(capsys, ["urep", *NS31, "--n", text]) == (EX_OK, digits_out + "\n", "")
+
+
+def test_ac_range_past_the_int_string_limit(capsys, simple32):
+    # three rows from 7 * 10^4999 + 12345, whose decimal strings end 12345..12347
+    n, head = 7 * 10 ** 4999 + 12345, "7" + "0" * 4994 + "1234"
+    rows = [f"{head}{5 + i} {ac(simple32, n + i).value} closed_form\n" for i in range(3)]
+    assert run(capsys, ["ac", *S32, "--n", head + "5", "--n-end", head + "7"]) == (
+        EX_OK, "".join(rows), "")
+
+
+def test_oracle_past_the_int_string_limit_exits_2(capsys):
+    code, out, err = run(capsys, ["oracle", *NS31, "--n", "7" * 4400])
+    assert (code, out) == (EX_UNSTABLE, "")
+    assert err.startswith("error: the certified scan for n=") and "generation cap" in err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int-string limit")
-@pytest.mark.parametrize("argv", [
-    ["ac", *NS31, "--n", "7" * 4400],
-    ["ac", *S32, "--n", "1", "--n-end", "7" * 4400],
-    ["urep", *NS31, "--n", "7" * 4400],
-    ["oracle", *NS31, "--n", "7" * 4400],
-])
-def test_n_past_the_int_string_limit_names_the_limit(capsys, argv):
-    code, out, err = run(capsys, argv)
-    assert code == EX_USAGE
-    assert out == ""
-    assert "4400-digit" in err and f"limit of {sys.get_int_max_str_digits()} digits" in err
-    assert "7" * 100 not in err
+@pytest.mark.parametrize("argv", [["ac", *NS31, "--n", "7" * 5000], ["ac", *NS31, "--n", "x"],
+                                  ["verify", *NS31, "--n-max", "0"], ["--help"]])
+def test_main_restores_the_int_string_limit(capsys, argv):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with suppress(SystemExit):  # --help
+            main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
 
 
 def test_exit_code_constants():

@@ -309,9 +309,13 @@ def test_prefix_difference_walk_equals_public_composition(m):
 # which has no prefix-difference route
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]])
 def test_closed_form_equals_prefix_difference_at_5000_digits(m):
-    # the public B-count functions build their own windows and stage sums
+    # the public B-count functions build their own windows and stage sums;
+    # verify's walk is held to them past place 128 and at 5,000 digits
     n = 7 * 10 ** 4999 + 12345
     assert ac_via_prefix_counts(m, n) == ac(m, n).value
+    for start in (u_value(m, 128) - 1, u_value(m, 129) - 1, n):
+        walk = complexity._prefix_differences(m, start, start + 40)
+        assert list(walk) == [ac_via_prefix_counts(m, k) for k in range(start, start + 41)]
 
 
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]], ids=str)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -203,6 +204,16 @@ def test_wv_prefix_simple_rejects_sturmian_case():
 def test_wv_prefix_simple_family_mismatch(nonsimple31):
     with pytest.raises(ValueError, match="simple"):
         wv_prefix_simple(nonsimple31, "v", 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: wv_prefix_simple(m, "x", 3), "which must be 'v' or 'w', got 'x'"),
+    (lambda m: wv_stage_length_simple(m, "w", -1), "w stages start at 0, got -1"),
+    (lambda m: wv_stage_length_simple(m, "v", -2), "v stages start at -1, got -2"),
+], ids=["which", "w stage", "v stage"])
+def test_wv_simple_rejects_bad_which_and_stage(simple32, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(simple32)
 
 
 def test_wv_stage_length_simple_examples(simple32):

@@ -28,7 +28,7 @@ from parryac import (
 )
 from parryac import numeration
 from parryac.numeration import _plan, b_weights, digit_lists, place_rows, top_index
-from parryac.words import apply
+from parryac.words import GENERATION_CAP, CapExceededError, apply
 
 from conftest import (
     FULL_GRID,
@@ -95,6 +95,12 @@ def test_normal_u_rep_padding_is_value_preserving(nonsimple31):
         padded = normal_u_rep(nonsimple31, n, min_places=len(bare) + 3)
         assert padded == (0,) * 3 + bare
         assert u_rep_value(nonsimple31, padded) == u_rep_value(nonsimple31, bare) == n
+
+
+def test_normal_u_rep_padding_is_capped(nonsimple31):
+    # refused before any padding is built, as word_prefix refuses a length
+    with pytest.raises(CapExceededError, match=f"generation cap is {GENERATION_CAP}"):
+        normal_u_rep(nonsimple31, 5, min_places=GENERATION_CAP + 1)
 
 
 @pytest.mark.parametrize("m", ALL_MORPHISMS)

@@ -132,9 +132,12 @@ def test_oracle_ac_worked_examples(nonsimple31, simple32):
     assert oracle_ac(simple32, 5).ac == 3
 
 
-def test_oracle_ac_rejects_out_of_cap(nonsimple31):
-    with pytest.raises(ValueError, match="cap"):
-        oracle_ac(nonsimple31, 10 ** 5 + 1)
+@pytest.mark.parametrize("spec", [(3, 1, "nonsimple"), (3, 2, "simple"), (5, 5, "simple")])
+def test_oracle_ac_answers_every_n_under_the_generation_cap(spec):
+    # no cap on n itself: these words have 10^6 to 10^7 letters, under 2^28
+    m = make_morphism(*spec)
+    for n in (10 ** 5 + 1, 10 ** 6):
+        assert oracle_ac(m, n).ac == ac(m, n).value
 
 
 def test_oracle_ac_refuses_scan_over_generation_cap():

@@ -19,7 +19,7 @@ from parryac import (
     parikh,
     parikh_image,
 )
-from parryac.words import CapExceededError, word_prefix
+from parryac.words import UBETA, V, W, CapExceededError, word_prefix
 
 from conftest import (
     FULL_GRID,
@@ -30,6 +30,8 @@ from conftest import (
     mat_pow,
     ref_apply,
     ref_fixed_point,
+    ref_w_nonsimple,
+    ref_wv_simple,
 )
 
 ANY_MORPHISM = st.sampled_from(FULL_GRID + STURMIAN_SIMPLE)
@@ -82,6 +84,11 @@ def test_apply_empty_word(nonsimple31, simple32):
 
 def test_apply_bab(nonsimple31):
     assert apply(nonsimple31, "BAB") == "ABAAABAB"
+
+
+def test_apply_rejects_non_str(nonsimple31):
+    with pytest.raises(TypeError, match="expected a word as str, got bytes"):
+        apply(nonsimple31, b"AB")
 
 
 def test_apply_rejects_stray_letters(nonsimple31):
@@ -173,6 +180,31 @@ def test_fixed_point_property(m):
 def test_fixed_point_prefix_stability(m, k, extra):
     long = fixed_point_prefix(m, k + extra)
     assert fixed_point_prefix(m, k) == long[:k]
+
+
+_SCALED_Q = {"1": lambda p: 1, "3": lambda p: 3, "p-1": lambda p: p - 1, "p": lambda p: p}
+
+
+# non-simple needs q < p, and the Sturmian simple family (q = 1) has no v or w
+@pytest.mark.parametrize("family, q_rule, target", [
+    (family, rule, target) for family in ("nonsimple", "simple") for rule in _SCALED_Q
+    for target in (UBETA, W, V)
+    if (family, rule) != ("nonsimple", "p") and (family, rule, target) not in (
+        ("simple", "1", W), ("simple", "1", V))])
+def test_word_prefix_builds_only_the_letters_it_returns(family, q_rule, target):
+    # a letter image of 10^10 letters is never built: up to 50 letters, every
+    # target at p = 10^10 is the same as at p = 10^4, and as the reference's
+    # (whose simple v and w at p = 10^4 build 10^8 letters, so it runs at p = 64)
+    prefixes = []
+    for p in (10 ** 4, 10 ** 10):
+        m = make_morphism(p, _SCALED_Q[q_rule](p), family)
+        prefixes.append([word_prefix(m, target, length) for length in range(51)])
+    small = make_morphism(64, _SCALED_Q[q_rule](64), family)
+    if target == UBETA or (target == V and family == "nonsimple"):
+        ref = ref_fixed_point(small, 50)
+    else:
+        ref = ref_w_nonsimple(small, 50) if family == "nonsimple" else ref_wv_simple(small, target, 50)
+    assert prefixes[0] == prefixes[1] == [ref[:length] for length in range(51)]
 
 
 def test_fixed_point_cap(nonsimple31):
