@@ -37,6 +37,7 @@ from .words import (
     UBETA,
     V,
     W,
+    _shown,
     word_prefix,
 )
 
@@ -131,7 +132,7 @@ def _cmd_ac(m: Morphism, args) -> int:
     n_start = args.n
     n_end = args.n_end if args.n_end is not None else n_start
     if n_start < 1 or n_end < n_start:
-        raise ValueError(f"need 1 <= n <= n_end, got n={n_start}, n_end={n_end}")
+        raise ValueError(f"need 1 <= n <= n_end, got n={_shown(n_start)}, n_end={_shown(n_end)}")
     method, values = _ac_values(m, n_start, n_end)
     results = zip(range(n_start, n_end + 1), values)
     if args.format == "csv":
@@ -170,20 +171,18 @@ def _cmd_oracle(m: Morphism, args) -> int:
 def _cmd_verify(m: Morphism, args) -> int:
     n_max = args.n_max
     if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+        raise ValueError(f"n_max must be at least 1, got {_shown(n_max)}")
     # the Sturmian family (simple, q = 1) has no v and w, so no prefix difference
     method, closed_forms = _ac_values(m, 1, n_max)
-    diffs = repeat(None) if method == METHOD_STURMIAN else _prefix_differences(m, 1, n_max)
+    diffs = repeat("n/a") if method == METHOD_STURMIAN else _prefix_differences(m, 1, n_max)
     routes = zip(range(1, n_max + 1), closed_forms, diffs, _certified_extrema(m, 1, n_max))
-    mismatches = []
+    mismatched = False
     for n, closed, diff, (_, low, high) in routes:
         brute = 1 + high - low
-        if closed != brute or (diff is not None and diff != closed):
-            mismatches.append((n, closed, diff, brute))
-    if mismatches:
-        for n, closed, diff, brute in mismatches:
-            shown = "n/a" if diff is None else diff
-            print(f"MISMATCH n={n}: closed_form={closed} prefix_difference={shown} oracle={brute}")
+        if closed != brute or diff not in ("n/a", closed):
+            print(f"MISMATCH n={n}: closed_form={closed} prefix_difference={diff} oracle={brute}")
+            mismatched = True
+    if mismatched:
         return EX_MISMATCH
     print(f"OK {n_max} checked")
     return EX_OK

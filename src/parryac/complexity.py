@@ -18,8 +18,8 @@ det(I - M), which is -q or 1 - p - q, or by det(I - M^2) for a sum over
 every other index.
 
 Everything in the formulas but the digits depends on n only through its
-stage: k = N + 2 in the non-simple family and (M, N) in the simple one,
-where it changes once between U_J and U_{J+1}.  One walk,
+stage: k = J + 2 in the non-simple family and s = M + N in the simple
+one, where it changes once between U_J and U_{J+1}.  One walk,
 extremal._spans, cuts a range of n into spans of one stage and one top J;
 _record turns a span's stage into AC(n) = base +- W(x) - W(y), W the
 greedy pass, and _values walks the span's n from one top window.
@@ -39,15 +39,14 @@ the odometer, so over a range `verify` checks each odometer step.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .extremal import (_spans, _w_stage_length, _w_stage_nonsimple, _wv_stage_length,
+from .extremal import (_spans, _stage_length, _w_stage_length, _w_stage_nonsimple,
                        choose_k_nonsimple, choose_mn_simple, v_b_count_simple,
                        w_b_count_nonsimple, w_b_count_simple)
 from .numeration import Rows, b_weights, digit_lists, prefix_b_count
-from .words import Family, Morphism, V, W, _integer
+from .words import Family, Morphism, _integer, _shown
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_STURMIAN = "sturmian"
@@ -61,7 +60,7 @@ class ACResult(NamedTuple):
     method: str
 
 
-def _record(rows: Rows, stage: int | tuple[int, int]) -> tuple:
+def _record(rows: Rows, stage: int) -> tuple:
     """The closed form over one stage of extremal._spans, from the rows at its top J.
 
     Returns (rows, low, high, base, sign, x0, y0): AC(n) = base + sign W(x)
@@ -72,29 +71,28 @@ def _record(rows: Rows, stage: int | tuple[int, int]) -> tuple:
     |phi^j(A)|_B = U_{j-1} for j >= 1 and |A|_B = 0 in this family, so
     W(n) and W(U_{k+1} - n) are its two digit sums.
 
-    Simple with q > 1, stage (M, N): with (c) the greedy digits of
-    n - |w^(N)| and (d) those of n - |v^(M)|, both padded to J+1 places,
+    Simple with q > 1, stage s = M + N, (M, N) = (s // 2, (s + 1) // 2):
+    with (c) the greedy digits of n - |w^(N)| and (d) those of n - |v^(M)|,
+    both padded to J+1 places,
 
         AC(n) = 2 + (q-1) * (T - (M-N+1) |phi^(2N)(A)|_B)
                   + sum_i (c_i - d_i) |phi^i(A)|_B,
 
     where T = sum_{i=0..N-1} (|phi^(2i+1)(A)|_B - |phi^(2i)(A)|_B) is the
     telescoped form of the alternating matrix-power sum, kept in pure
-    integer arithmetic.
+    integer arithmetic.  With L of extremal._stage_length, |w^(N)| =
+    L(2N - 1) and |v^(M)| = L(2M) are L(s - 1) and L(s) in the order of
+    s's parity, and L(s) <= n < L(s + 1).
     """
     if rows.m.family is Family.NONSIMPLE:
         k_rows = rows.at(stage)
         length, count, complement = _w_stage_nonsimple(k_rows, stage)
         return k_rows, rows.u(rows.top), length + 1, 1 + count, -1, 0, complement
-    m_stage, n_stage = stage
-    stage_length = partial(_wv_stage_length, rows)
-    w_low, w_high = stage_length(W, n_stage), stage_length(W, n_stage + 1)
-    v_low, v_high = stage_length(V, m_stage), stage_length(V, m_stage + 1)
-    # T - (M-N+1) |phi^(2N)(A)|_B: M is N - 1 or N, so the overlap
-    # term extends T's even sum to 2M
-    base = 2 + (rows.m.q - 1) * (rows.sum((0, 1), 2 * n_stage - 1, 2)
-                                 - rows.sum((0, 1), 2 * m_stage, 2))
-    return rows, max(w_low, v_low), min(w_high, v_high), base, 1, w_low, v_low
+    below, low, high = (_stage_length(rows, t) for t in (stage - 1, stage, stage + 1))
+    # T - (M-N+1) |phi^(2N)(A)|_B: the B-sum up to 2N - 1 (w's) less that up to 2M (v's)
+    sums = rows.sum((0, 1), stage - 1, 2) - rows.sum((0, 1), stage, 2)
+    x0, y0, sums = (low, below, -sums) if stage % 2 else (below, low, sums)
+    return rows, low, high, 2 + (rows.m.q - 1) * sums, 1, x0, y0
 
 
 def _values(spans: Iterable[tuple]) -> Iterator[int]:
@@ -138,7 +136,8 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     n, k = _integer(n, "n"), None if k is None else _integer(k, "k", 0)
     rows, stage, _, _ = next(_spans(m, n, n))
     if k is not None and n > (length := _w_stage_length(rows.at(k), k)):
-        raise ValueError(f"k={k} is inadmissible: n={n} exceeds |w^({k})|={length}")
+        raise ValueError(f"k={_shown(k)} is inadmissible: n={_shown(n)} exceeds "
+                         f"|w^({_shown(k)})|={_shown(length)}")
     return next(_values(((rows, stage if k is None else k, n, n),)))
 
 
@@ -159,7 +158,7 @@ def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     """
     start, stop = _integer(start, "start"), _integer(stop, "stop", None)
     if stop < start:
-        raise ValueError(f"stop={stop} is below start={start}")
+        raise ValueError(f"stop={_shown(stop)} is below start={_shown(start)}")
     method, values = _ac_values(m, start, stop)
     return map(ACResult, range(start, stop + 1), values, repeat(method))
 

@@ -12,7 +12,6 @@ logarithmic-time complexity formulas possible.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterator
 
 from .numeration import Rows, _top_rows, b_weights, place_rows, top_index
@@ -24,6 +23,7 @@ from .words import (
     V,
     W,
     _integer,
+    _shown,
     word_prefix,
 )
 
@@ -100,7 +100,7 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
     rows = place_rows(m, k)
     length, count, complement = _w_stage_nonsimple(rows, k)
     if n > length:
-        raise IndexError(f"n={n} exceeds |w^({k})|={length}; pick a larger k")
+        raise IndexError(f"n={_shown(n)} exceeds |w^({_shown(k)})|={_shown(length)}; pick a larger k")
     return count - b_weights(rows, complement - n)[0]
 
 
@@ -139,49 +139,42 @@ def wv_stage_length_simple(m: Morphism, which: str, stage: int) -> int:
     """
     _check_which(which)
     _require_simple_extremal(m, "wv_stage_length_simple")
-    stage = _integer(stage, "stage", None)
-    return _wv_stage_length(_stage_rows(m, which, stage), which, stage)
+    return _stage_length(*_stage_rows(m, which, _integer(stage, "stage", None)))
 
 
-def _stage_rows(m: Morphism, which: str, stage: int) -> Rows:
-    """Rows for the stage lengths and sums of v or w near `stage`, once it is checked."""
-    first = -1 if which == V else 0
-    if stage < first:
-        raise ValueError(f"{which} stages start at {first}, got {stage}")
-    return place_rows(m, max(2 * stage, 0))
+def _stage_rows(m: Morphism, which: str, stage: int) -> tuple[Rows, int]:
+    """Rows near the stage of v or w, once it is checked, and its index t: L(t) is its length."""
+    t = 2 * stage if which == V else 2 * stage - 1
+    if t < -2:  # the first stages are v^(-1) and w^(0)
+        raise ValueError(f"{which} stages start at {-1 if which == V else 0}, got {_shown(stage)}")
+    return place_rows(m, max(t, 0)), t
 
 
-def _wv_stage_length(rows: Rows, which: str, stage: int) -> int:
-    """wv_stage_length_simple(rows.m, which, stage), unchecked, as _w_stage_length."""
-    top = 2 * stage if which == V else 2 * stage - 1
-    return 1 + (rows.m.q - 1) * rows.sum((1, 1), top, 2)
+def _stage_length(rows: Rows, t: int) -> int:
+    """L(t) = 1 + (q-1) sum U_j over 0 <= j <= t, j = t (mod 2), unchecked, from rows near t:
+    the one strictly increasing sequence of v's and w's stage lengths, |v^(h)| = L(2h) and
+    |w^(h)| = L(2h - 1)."""
+    return 1 + (rows.m.q - 1) * rows.sum((1, 1), t, 2)
 
 
-def _spans(m: Morphism, start: int, stop: int) -> Iterator[tuple[Rows, int | tuple[int, int], int, int]]:
+def _spans(m: Morphism, start: int, stop: int) -> Iterator[tuple[Rows, int, int, int]]:
     """(rows, stage, first, last) for each stage and top J that hold some of start..stop, in order.
 
     first..last is their part of start..stop, never empty, and rows are at
     J, with U_J <= n < U_{J+1}.  The non-simple stage is k = J + 2 of
-    choose_k_nonsimple, one per J.  The simple stages (M, N), for q > 1,
-    split J's n at a threshold: for even J, N = J/2 and the threshold is
-    |v^(J/2)|, with M = J/2 - 1 below it and J/2 above; for odd J,
-    M = (J-1)/2 and the threshold is |w^((J+1)/2)|, with N = (J-1)/2 below
-    it and (J+1)/2 above, so a simple stage can hold n of two J.  This is
-    the only code that steps from one stage to the next: each J's rows
-    come from the last J's by one Rows.at.
+    choose_k_nonsimple, one per J.  The simple stage, for q > 1, is the
+    index s = M + N of the stages M of v and N of w, with L(s) <= n <
+    L(s + 1) on _stage_length's sequence: J's n lie in stage J - 1 below
+    L(J) and in stage J from it on, so a simple stage can hold n of two J.
+    This is the only code that steps from one stage to the next: each J's
+    rows come from the last J's by one Rows.at.
     """
     rows, first = _top_rows(m, start), start
     while True:
-        top, half = rows.top, rows.top // 2
+        top = rows.top
         end = rows.u(top + 1) - 1  # the last n at this top
-        if m.family is Family.NONSIMPLE:
-            stages = ((top + 2, end),)
-        elif top % 2 == 0:
-            threshold = _wv_stage_length(rows, V, half)
-            stages = ((half - 1, half), threshold - 1), ((half, half), end)
-        else:
-            threshold = _wv_stage_length(rows, W, half + 1)
-            stages = ((half, half), threshold - 1), ((half, half + 1), end)
+        stages = (((top + 2, end),) if m.family is Family.NONSIMPLE
+                  else ((top - 1, _stage_length(rows, top) - 1), (top, end)))
         for stage, last in stages:
             if last < first:
                 continue
@@ -195,33 +188,31 @@ def _spans(m: Morphism, start: int, stop: int) -> Iterator[tuple[Rows, int | tup
 def choose_mn_simple(m: Morphism, n: int) -> tuple[int, int, int]:
     """Stage indices (M, N, J) for a prefix length n >= 1.
 
-    J satisfies U_J <= n < U_{J+1}, and (M, N) comes from the split of
-    J's n at one stage length (_spans).  The result brackets n by
-    stages: |w^(N)| <= n < |w^(N+1)| and |v^(M)| <= n < |v^(M+1)|, where
+    J satisfies U_J <= n < U_{J+1}, and (M, N) = (s // 2, (s + 1) // 2)
+    for n's stage s = M + N of _spans.  The result brackets n by stages:
+    |w^(N)| <= n < |w^(N+1)| and |v^(M)| <= n < |v^(M+1)|, where
     |v^(-1)| is taken to be 1.
     """
     _require_simple_extremal(m, "choose_mn_simple")
     n = _integer(n, "n")
-    rows, (m_stage, n_stage), _, _ = next(_spans(m, n, n))
-    stage_length = partial(_wv_stage_length, rows)
-    assert stage_length(W, n_stage) <= n < stage_length(W, n_stage + 1)
-    assert stage_length(V, m_stage) <= n < stage_length(V, m_stage + 1)
-    return m_stage, n_stage, rows.top
+    rows, s, _, _ = next(_spans(m, n, n))
+    for t in (s - 1, s):  # |w^(N)| = L(2N - 1) and |v^(M)| = L(2M), one each by parity
+        assert _stage_length(rows, t) <= n < _stage_length(rows, t + 2)
+    return s // 2, (s + 1) // 2, rows.top
 
 
 def _wv_b_count(m: Morphism, which: str, n: int, stage: int, operation: str) -> int:
     """v_b_count_simple or w_b_count_simple, by `which`, with their checks."""
     _require_simple_extremal(m, operation)
     n, stage = _integer(n, "n"), _integer(stage, "stage", None)
-    rows = _stage_rows(m, which, stage)
-    low, high = _wv_stage_length(rows, which, stage), _wv_stage_length(rows, which, stage + 1)
+    rows, t = _stage_rows(m, which, stage)
+    low, high = _stage_length(rows, t), _stage_length(rows, t + 2)
     if not low <= n < high:
-        raise ValueError(f"stage mismatch: need |{which}^({stage})|={low} <= n < "
-                         f"|{which}^({stage + 1})|={high}, got n={n}")
-    top = 2 * stage if which == V else 2 * stage - 1
-    count = (which == W) + (rows.m.q - 1) * rows.sum((0, 1), top, 2)  # |x^(stage)|_B
-    # n - low < high - low = (q-1) U_{top+2} < U_{top+3}: rows at top + 2 cover it
-    return count + b_weights(rows.at(top + 2), n - low)[0]
+        raise ValueError(f"stage mismatch: need |{which}^({_shown(stage)})|={_shown(low)} <= n < "
+                         f"|{which}^({_shown(stage + 1)})|={_shown(high)}, got n={_shown(n)}")
+    count = t % 2 + (rows.m.q - 1) * rows.sum((0, 1), t, 2)  # |x^(stage)|_B; w's t is odd, w^(0) = B
+    # n - low < high - low = (q-1) U_{t+2} < U_{t+3}: rows at t + 2 cover it
+    return count + b_weights(rows.at(t + 2), n - low)[0]
 
 
 def v_b_count_simple(m: Morphism, n: int, stage: int) -> int:

@@ -52,7 +52,7 @@ from itertools import islice, repeat
 from operator import index, mul
 from typing import Sequence
 
-from .words import GENERATION_CAP, CapExceededError, Family, Morphism, _integer
+from .words import GENERATION_CAP, CapExceededError, Family, Morphism, _integer, _shown
 
 #: Rows j below this are kept per morphism; the greedy pass splits the
 #: places above it at _LOW_PLACES 2^k.
@@ -316,7 +316,7 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     n = _integer(n, "n", 0)
     min_places = 1 if min_places is None else _integer(min_places, "min_places")
     if min_places > GENERATION_CAP:
-        raise CapExceededError(f"requested {min_places} places, generation cap is {GENERATION_CAP}")
+        raise CapExceededError(f"requested {_shown(min_places)} places, generation cap is {GENERATION_CAP}")
     rows = _top_rows(m, n)
     (digits,), _ = digit_lists(rows, (n,))
     digits += repeat(0, min_places - 1 - rows.top)

@@ -49,6 +49,7 @@ from .words import (
     B,
     Morphism,
     _integer,
+    _shown,
     apply,
     fixed_point_prefix,
     parikh_image,
@@ -153,7 +154,7 @@ def parikh_extrema(m: Morphism, n: int, prefix_len: int) -> ParikhInterval:
     """
     n, prefix_len = _integer(n, "n"), _integer(prefix_len, "prefix_len", None)
     if prefix_len < n:
-        raise ValueError(f"prefix_len={prefix_len} must be at least n={n}")
+        raise ValueError(f"prefix_len={_shown(prefix_len)} must be at least n={_shown(n)}")
     low, high = next(_extrema(_b_positions(fixed_point_prefix(m, prefix_len)), n, n))
     return ParikhInterval(n, low, high, prefix_len)
 
@@ -187,8 +188,8 @@ def _certified_extrema(m: Morphism, start: int, stop: int) -> Iterator[tuple[int
         letters = 3 * sum(row_a) + sum(row_b)
         if letters > GENERATION_CAP:
             raise OracleInstabilityError(
-                f"the certified scan for n={first} needs phi^{k}(AABA) of {letters} letters, "
-                f"over the generation cap of {GENERATION_CAP}")
+                f"the certified scan for n={_shown(first)} needs phi^{k}(AABA) of {_shown(letters)} "
+                f"letters, over the generation cap of {GENERATION_CAP}")
         last = min(sum(row_b) + 1, stop)  # the last n this level serves
         levels.append((k, letters, first, last))
         first = last + 1

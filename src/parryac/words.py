@@ -25,6 +25,7 @@ prefixes compact and makes windowed scans cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import index
@@ -84,13 +85,13 @@ class Morphism:
         object.__setattr__(self, "family", Family(self.family))
         for name, value in (("p", self.p), ("q", self.q)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"{name} must be an integer >= 1, got {_shown(value)}")
         if self.family is Family.SIMPLE and self.p < self.q:
             raise ValueError(
-                f"simple family requires p >= q, violated by p={self.p} < q={self.q}")
+                f"simple family requires p >= q, violated by p={_shown(self.p)} < q={_shown(self.q)}")
         if self.family is Family.NONSIMPLE and self.p <= self.q:
             raise ValueError(
-                f"non-simple family requires p > q, violated by p={self.p} <= q={self.q}")
+                f"non-simple family requires p > q, violated by p={_shown(self.p)} <= q={_shown(self.q)}")
 
     @property
     def image_a(self) -> str:
@@ -119,8 +120,17 @@ def _integer(value: int, name: str, floor: int | None = 1) -> int:
     """
     value = index(value)
     if floor is not None and value < floor:
-        raise ValueError(f"{name} must be {'positive' if floor else 'nonnegative'}, got {value}")
+        raise ValueError(f"{name} must be {'positive' if floor else 'nonnegative'}, got {_shown(value)}")
     return value
+
+
+def _shown(value: object) -> str:
+    """repr(value) for a message, but an int of more than 20 digits by its size, from its top
+    bits: a decimal conversion of a long int takes seconds on Python 3.10 and 3.11."""
+    if not isinstance(value, int) or -10 ** 20 < value < 10 ** 20:
+        return repr(value)
+    digits = int(math.log10(abs(value))) + 1  # one too many only just below a power of 10
+    return f"<{'negative ' if value < 0 else ''}integer of about {digits} digits>"
 
 
 # --- Parikh accounting -------------------------------------------------------
@@ -222,7 +232,7 @@ def word_prefix(m: Morphism, target: str, length: int) -> str:
     length = _integer(length, "length", 0)
     if length > GENERATION_CAP:
         raise CapExceededError(
-            f"requested {length} letters, generation cap is {GENERATION_CAP}")
+            f"requested {_shown(length)} letters, generation cap is {GENERATION_CAP}")
     if target == V and m.family is Family.NONSIMPLE:
         # the B-poorest word of the non-simple family is the fixed point itself
         target = UBETA

@@ -486,6 +486,20 @@ def test_long_malformed_n_is_not_echoed(capsys, argv):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["urep", *NS31, "--n", "7", "--places", "7" * 5000], EX_USAGE),
+    (["ac", *NS31, "--n", "7" * 5000, "--n-end", "5"], EX_USAGE),
+    (["verify", *NS31, "--n-max", "-" + "7" * 5000], EX_USAGE),
+    (["word", *NS31, "--which", "ubeta", "--len", "7" * 5000], EX_USAGE),
+    (["oracle", *NS31, "--n", "7" * 5000], EX_UNSTABLE),
+])
+def test_long_valid_integers_are_not_echoed(capsys, argv, expected):
+    # a refused integer is shown by its size, never by a decimal conversion
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (expected, "")
+    assert "integer of about 5000 digits" in err and len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("digits", [5000, 20000])
 def test_integers_past_the_int_string_limit(capsys, nonsimple31, digits):
     # 7 * 10^(digits - 1) + 12345, built without an int-string conversion,

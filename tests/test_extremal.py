@@ -368,7 +368,9 @@ def test_spans_split_a_range_into_one_span_per_stage(m):
                 assert stage == rows.top + 2
                 assert last <= w_stage_length_nonsimple(m, stage)
             else:
-                m_stage, n_stage = stage
+                # one index s = M + N: J's n lie in stage J - 1 or J
+                assert stage in (rows.top - 1, rows.top)
+                m_stage, n_stage = stage // 2, (stage + 1) // 2
                 assert wv_stage_length_simple(m, "w", n_stage) <= first
                 assert last < wv_stage_length_simple(m, "w", n_stage + 1)
                 assert wv_stage_length_simple(m, "v", m_stage) <= first
@@ -377,8 +379,8 @@ def test_spans_split_a_range_into_one_span_per_stage(m):
             # the span ended with its stage or its top: n = last + 1 is outside one of them
             ends = {u_value(m, rows.top + 1)}
             if m.family is Family.SIMPLE:
-                ends |= {wv_stage_length_simple(m, "w", stage[1] + 1),
-                         wv_stage_length_simple(m, "v", stage[0] + 1)}
+                ends |= {wv_stage_length_simple(m, "w", (stage + 1) // 2 + 1),
+                         wv_stage_length_simple(m, "v", stage // 2 + 1)}
             assert last + 1 in ends, (start, last)
     # a stop inside the first span gives that span alone, cut at the stop
     rows, stage, first, last = next(extremal._spans(m, 10 ** 40, 10 ** 41))
@@ -416,3 +418,12 @@ def test_simple_stage_sums_equal_plain_sums(m):
         assert low == 1 + (m.q - 1) * ref_stride_sum(u, 2 * stage - 1, 2)
         fixed = (m.q - 1) * ref_stride_sum(b, 2 * stage - 1, 2)
         assert w_b_count_simple(m, low, stage) == 1 + fixed
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL)
+def test_wv_stage_lengths_interleave(m):
+    # |w^(0)| < |v^(0)| < |w^(1)| < ... < |v^(300)|: the stage lengths of v and w
+    # are one increasing sequence, so one index s = M + N places every simple n
+    lengths = [wv_stage_length_simple(m, which, stage)
+               for stage in range(LAST_STAGE + 1) for which in ("w", "v")]
+    assert all(a < b for a, b in zip(lengths, lengths[1:]))

@@ -19,7 +19,7 @@ from parryac import (
     parikh,
     parikh_image,
 )
-from parryac.words import UBETA, V, W, CapExceededError, word_prefix
+from parryac.words import UBETA, V, W, CapExceededError, _shown, word_prefix
 
 from conftest import (
     FULL_GRID,
@@ -220,6 +220,17 @@ def test_fixed_point_rejects_negative_length(nonsimple31):
 def test_word_prefix_rejects_unknown_target(nonsimple31):
     with pytest.raises(ValueError, match="target"):
         word_prefix(nonsimple31, "u", 5)
+
+
+def test_messages_show_long_integers_by_size():
+    assert [_shown(value) for value in (7, -7, 10 ** 20 - 1, 1 - 10 ** 20, 2.5, "x")] == [
+        "7", "-7", "9" * 20, "-" + "9" * 20, "2.5", "'x'"]
+    assert _shown(10 ** 20) == "<integer of about 21 digits>"
+    assert _shown(-7 * 10 ** 4999 - 12345) == "<negative integer of about 5000 digits>"
+    with pytest.raises(ValueError, match="^length must be nonnegative, got <negative integer"):
+        word_prefix(make_morphism(3, 1, "nonsimple"), UBETA, -10 ** 30)
+    with pytest.raises(ValueError, match="^p must be an integer >= 1, got <negative integer"):
+        make_morphism(-10 ** 30, 1, "simple")
 
 
 # --- concurrency -----------------------------------------------------------------
