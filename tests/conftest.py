@@ -59,10 +59,11 @@ def ref_stride_sum(values: list[int], top: int, step: int) -> int:
 
 # --- greedy-digit certificates ----------------------------------------------------
 
-def ref_rows(m: Morphism):
-    """The rows (1,0) M^j = (|phi^j(A)|_A, |phi^j(A)|_B) for j = 0, 1, ..., one at a time."""
+def ref_rows(m: Morphism, start: tuple[int, int] = (1, 0)):
+    """The rows start M^j for j = 0, 1, ..., one at a time: by default (1,0) M^j =
+    (|phi^j(A)|_A, |phi^j(A)|_B), and from (0, 1) those of phi^j(B)."""
     (p, one), (q, e) = incidence_matrix(m)
-    a, b = 1, 0
+    a, b = start
     while True:
         yield a, b
         a, b = a * p + b * q, a * one + b * e

@@ -416,7 +416,15 @@ def test_verify_searches_each_oracle_level_once(capsys, monkeypatch, nonsimple31
     assert 0 < len(calls) <= 2 * (levels + 1)
 
 
-# --- imports ---------------------------------------------------------------------
+# --- imports and the module entry point ---------------------------------------------
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    package_root = str(Path(parryac.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
 
 def test_ac_runs_without_numpy():
     # only the oracle needs numpy, and it imports it on first use
@@ -426,12 +434,16 @@ def test_ac_runs_without_numpy():
         "code = parryac.cli.main(['ac', '--family', 'nonsimple', '--p', '3', '--q', '1', '--n', '7'])\n"
         "print('numpy' in sys.modules)\n"
         "sys.exit(code)\n")
-    package_root = str(Path(parryac.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    result = _python("-c", script)
     assert result.returncode == EX_OK, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_module_entry_point_exits_with_main_code():
+    # `python -m parryac.cli` runs entrypoint, which exits with main's code
+    for n, code, out in (("7", EX_OK, "7 3 closed_form\n"), ("0", EX_USAGE, "")):
+        result = _python("-m", "parryac.cli", "ac", *NS31, "--n", n)
+        assert (result.returncode, result.stdout) == (code, out), result.stderr
 
 
 # --- usage and validation -------------------------------------------------------------

@@ -37,6 +37,7 @@ from conftest import (
     ref_wv_stage_simple,
     ref_matrix_powers,
     ref_power_of_a,
+    ref_rows,
     ref_stride_sum,
 )
 
@@ -427,3 +428,46 @@ def test_wv_stage_lengths_interleave(m):
     lengths = [wv_stage_length_simple(m, which, stage)
                for stage in range(LAST_STAGE + 1) for which in ("w", "v")]
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
+
+
+# --- far stages against running sums: stages 1,000, 1,001 and 2,500 ---------------
+
+# indices t up to 5,000, far past the plan's 128-row list, where every
+# closed-form route reads the same stage kernels
+FAR_STAGES = (1000, 1001, 2500)
+
+
+def _running_sums(rows, step, wanted):
+    """{t: (sum of a + b, sum of b)} over the rows (a, b) with j <= t and j = t (mod step),
+    for each t in `wanted`, from one running sum per residue."""
+    sums, found = [(0, 0)] * step, {}
+    for j, (a, b) in zip(range(max(wanted) + 1), rows):
+        total, count = sums[j % step]
+        sums[j % step] = total + a + b, count + b
+        if j in wanted:
+            found[j] = sums[j % step]
+    return found
+
+
+@pytest.mark.parametrize("m", NONSIMPLE_GRID)
+def test_far_w_stages_nonsimple_equal_running_sums(m):
+    # w^(k) = B phi(B) ... phi^k(B): its length and B-count sum the rows (0,1) M^j
+    sums = _running_sums(ref_rows(m, (0, 1)), 1, set(FAR_STAGES))
+    for k in FAR_STAGES:
+        length, count = sums[k]
+        assert w_stage_length_nonsimple(m, k) == length, k
+        assert w_b_count_nonsimple(m, length, k) == count, k
+
+
+@pytest.mark.parametrize("m", SIMPLE_EXTREMAL)
+def test_far_wv_stages_simple_equal_running_sums(m):
+    # v^(h) is A^q and blocks phi^j(A)^(q-1), j = 2, 4, ..., 2h; w^(h) is B and
+    # blocks j = 1, 3, ..., 2h - 1.  At its own length a B-count is its fixed part
+    sums = _running_sums(ref_rows(m), 2, {2 * h - d for h in FAR_STAGES for d in (0, 1)})
+    for h in FAR_STAGES:
+        for which, t, lead_b, b_count in (("v", 2 * h, 0, v_b_count_simple),
+                                          ("w", 2 * h - 1, 1, w_b_count_simple)):
+            total, count = sums[t]
+            length = 1 + (m.q - 1) * total
+            assert wv_stage_length_simple(m, which, h) == length, (which, h)
+            assert b_count(m, length, h) == lead_b + (m.q - 1) * count, (which, h)
