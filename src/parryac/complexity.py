@@ -31,8 +31,8 @@ changes each W by 0 or 1, an amortized O(1) of small-int work per n.  A
 span of one n takes the pass alone and keeps no digits.
 
 ac_via_prefix_counts, 1 + |w_n|_B - |v_n|_B, composes the public stage
-choice and B-count functions, which build their own windows and stage
-sums: it shares only the greedy pass with ac.  _prefix_differences reads
+choice and B-count functions: it shares ac's greedy pass, _spans, stage
+kernels and Rows.sum, but not _record.  _prefix_differences reads
 ac_range's spans and records but takes a fresh greedy pass per n, never
 the odometer, so over a range `verify` checks each odometer step.
 """
@@ -42,9 +42,9 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .extremal import (_spans, _stage_length, _w_stage_length, _w_stage_nonsimple,
-                       choose_k_nonsimple, choose_mn_simple, v_b_count_simple,
-                       w_b_count_nonsimple, w_b_count_simple)
+from .extremal import (_spans, _stage_length, _w_stage_nonsimple, choose_k_nonsimple,
+                       choose_mn_simple, v_b_count_simple, w_b_count_nonsimple,
+                       w_b_count_simple)
 from .numeration import Rows, b_weights, digit_lists, prefix_b_count
 from .words import Family, Morphism, _integer, _shown
 
@@ -135,7 +135,7 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
     n, k = _integer(n, "n"), None if k is None else _integer(k, "k", 0)
     rows, stage, _, _ = next(_spans(m, n, n))
-    if k is not None and n > (length := _w_stage_length(rows.at(k), k)):
+    if k is not None and n > (length := _w_stage_nonsimple(rows.at(k), k)[0]):
         raise ValueError(f"k={_shown(k)} is inadmissible: n={_shown(n)} exceeds "
                          f"|w^({_shown(k)})|={_shown(length)}")
     return next(_values(((rows, stage if k is None else k, n, n),)))
@@ -195,8 +195,8 @@ def ac_via_prefix_counts(m: Morphism, n: int) -> int:
 
     For the non-simple family |v_n|_B is the B-count of the fixed-point
     prefix itself.  Each count comes from its public function, which
-    builds its own windows and stage sums and checks n's stage bracket,
-    so this route shares only the greedy pass with ac.  Raises
+    builds its own windows and checks n's stage bracket; the greedy pass,
+    _spans, the stage kernels and Rows.sum are those of ac.  Raises
     UnsupportedConstructionError for simple q = 1, which has no v and w.
     """
     n = _integer(n, "n")

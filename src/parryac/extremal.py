@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .numeration import Rows, _top_rows, b_weights, place_rows, top_index
+from .numeration import Rows, _top_rows, b_weights, place_rows
 from .words import (
     B,
     Family,
@@ -64,28 +64,22 @@ def w_prefix_nonsimple(m: Morphism, length: int) -> str:
 def w_stage_length_nonsimple(m: Morphism, stage: int) -> int:
     """|w^(stage)| = sum_{j=0..stage} |phi^j(B)|.
 
-    phi^{j+1}(A) = (phi^j(A))^p phi^j(B), so |phi^j(B)| = U_{j+1} - p U_j,
-    which is |phi^j(A)|_A + (q + 1 - p) |phi^j(A)|_B by one row step.
+    phi^{j+1}(A) = (phi^j(A))^p phi^j(B), so |phi^j(B)| = U_{j+1} - p U_j.
     """
     _require_family(m, Family.NONSIMPLE, "w_stage_length_nonsimple")
     stage = _integer(stage, "stage", 0)
-    return _w_stage_length(place_rows(m, stage), stage)
-
-
-def _w_stage_length(rows: Rows, stage: int) -> int:
-    """w_stage_length_nonsimple(rows.m, stage), unchecked, from rows near the stage."""
-    return rows.sum((1, rows.m.q + 1 - rows.m.p), stage)
+    return _w_stage_nonsimple(place_rows(m, stage), stage)[0]
 
 
 def choose_k_nonsimple(m: Morphism, n: int) -> int:
-    """Smallest universally safe stage index k with n <= |w^(k)|.
+    """Smallest universally safe stage index k with n <= |w^(k)|: n's stage in _spans.
 
-    With N the smallest index satisfying n < U_{N+1}, the minimal valid k
-    is N+1 or N+2; k = N+2 always works, so that is what is returned.  A
-    test asserts the complexity value is invariant across admissible k.
+    That is k = J + 2, J the top of n's greedy digits.  A test asserts the
+    complexity value is invariant across admissible k.
     """
     _require_family(m, Family.NONSIMPLE, "choose_k_nonsimple")
-    return top_index(m, _integer(n, "n")) + 2
+    n = _integer(n, "n")
+    return next(_spans(m, n, n))[1]
 
 
 def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
@@ -105,12 +99,13 @@ def w_b_count_nonsimple(m: Morphism, n: int, k: int) -> int:
 
 
 def _w_stage_nonsimple(rows: Rows, k: int) -> tuple[int, int, int]:
-    """(|w^(k)|, U_k, U_{k+1}) from rows near k, unchecked.
+    """(|w^(k)|, U_k, U_{k+1}) from rows near k, unchecked: the one kernel of a non-simple stage.
 
-    For n <= |w^(k)| the length-n prefix of w holds U_k - W(U_{k+1} - n)
-    B's, W the b_weights sum.
+    |phi^j(B)| is |phi^j(A)|_A + (q + 1 - p) |phi^j(A)|_B by one row step, so
+    |w^(k)| is one Rows.sum.  For n <= |w^(k)| the length-n prefix of w
+    holds U_k - W(U_{k+1} - n) B's, W the b_weights sum.
     """
-    return _w_stage_length(rows, k), rows.u(k), rows.u(k + 1)
+    return rows.sum((1, rows.m.q + 1 - rows.m.p), k), rows.u(k), rows.u(k + 1)
 
 
 # --- simple family (q > 1) ----------------------------------------------------
@@ -161,13 +156,14 @@ def _spans(m: Morphism, start: int, stop: int) -> Iterator[tuple[Rows, int, int,
     """(rows, stage, first, last) for each stage and top J that hold some of start..stop, in order.
 
     first..last is their part of start..stop, never empty, and rows are at
-    J, with U_J <= n < U_{J+1}.  The non-simple stage is k = J + 2 of
-    choose_k_nonsimple, one per J.  The simple stage, for q > 1, is the
-    index s = M + N of the stages M of v and N of w, with L(s) <= n <
-    L(s + 1) on _stage_length's sequence: J's n lie in stage J - 1 below
-    L(J) and in stage J from it on, so a simple stage can hold n of two J.
-    This is the only code that steps from one stage to the next: each J's
-    rows come from the last J's by one Rows.at.
+    J, with U_J <= n < U_{J+1}.  The non-simple stage is k = J + 2, one per
+    J: the least k with n <= |w^(k)| is J + 1 or J + 2, and J + 2 holds
+    every n of J.  The simple stage, for q > 1, is the index s = M + N of
+    the stages M of v and N of w, with L(s) <= n < L(s + 1) on
+    _stage_length's sequence: J's n lie in stage J - 1 below L(J) and in
+    stage J from it on, so a simple stage can hold n of two J.  This is
+    the only code that picks n's stage and steps from one stage to the
+    next: each J's rows come from the last J's by one Rows.at.
     """
     rows, first = _top_rows(m, start), start
     while True:

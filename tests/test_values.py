@@ -115,13 +115,15 @@ CERTIFIED = (("nonsimple", 3, 1), ("simple", 3, 2), ("simple", 5, 5), ("nonsimpl
 # U_j -1, 0 and +1 around the first places and the greedy pass's splits at 128, 256, ...
 EDGE_PLACES = (*range(1, 11), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025)
 SEED = 7
-# residues keep each line short: U_1025 of non-simple (10^6, 1) has about 6,000 digits
+# n and the B-count go in as residues: U_1025 of non-simple (10^6, 1) has about 6,000
+# digits, over the default int-string limit that repr keeps
 MODULUS = 2 ** 61 - 1
 
 
 def _numeration_lines():
     rng = random.Random(SEED)
-    randoms = [rng.randrange(10 ** (digits - 1), 10 ** digits) for digits in (100,) * 3 + (1000,) * 3]
+    randoms = [rng.randrange(10 ** (digits - 1), 10 ** digits)
+               for digits in (100, 100, 100, 1000, 1000, 1000)]
     for family, p, q in CERTIFIED:
         m = make_morphism(p, q, family)
         edges = [u_value(m, j) + shift for j in EDGE_PLACES for shift in (-1, 0, 1)]
