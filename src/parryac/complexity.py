@@ -25,31 +25,41 @@ _record turns a span's stage into AC(n) = base +- W(x) - W(y), W the
 greedy pass, and _values walks the span's n from one top window.
 ac_range streams those values, bare ints that it wraps in ACResult
 records (the CLI reads the ints), and ac and ac_nonsimple are its one-n
-case.  A span's first n takes one greedy pass for the digits of both x
-and y; each later n steps them by the odometer of `numeration` and
-changes each W by 0 or 1, an amortized O(1) of small-int work per n.  A
-span of one n takes the pass alone and keeps no digits.
+case.  x and y move by one per n, and W(x + 1) - W(x) is the letter u_x
+of the fixed point, 1 for B and 0 for A.  So _values reads a span in
+windows of at most 4,096 n: from the digits of x and y at a window's
+start, numeration._letters reads the two slices of u that they cross,
+in O(window) string work.  The span's first window takes one greedy pass
+for those digits, and each later one moves the last one's below place
+24, so a long range at a large n takes about one pass per span.  A span
+of one n takes the pass alone and keeps no digits.
 
 ac_via_prefix_counts, 1 + |w_n|_B - |v_n|_B, composes the public stage
 choice and B-count functions: it shares ac's greedy pass, _spans, stage
 kernels and Rows.sum, but not _record.  _prefix_differences reads
 ac_range's spans and records but takes a fresh greedy pass per n, never
-the odometer, so over a range `verify` checks each odometer step.
+a letter slice, so over a range `verify` checks each letter _values reads.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .extremal import (_spans, _stage_length, _w_stage_nonsimple, choose_k_nonsimple,
                        choose_mn_simple, v_b_count_simple, w_b_count_nonsimple,
                        w_b_count_simple)
-from .numeration import Rows, b_weights, digit_lists, prefix_b_count
-from .words import Family, Morphism, _integer, _shown
+from .numeration import Rows, _advance, _letters, b_weights, digit_lists, prefix_b_count
+from .words import B, Family, Morphism, _integer, _shown
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_STURMIAN = "sturmian"
+
+#: The most n of one window of _values, whose letter slices and values it holds.
+_WINDOW = 4096
+#: Letters to their B-counts, 0 for A and 1 for B.
+_BITS = bytes.maketrans(b"AB", b"\0\1")
 
 
 class ACResult(NamedTuple):
@@ -98,29 +108,51 @@ def _record(rows: Rows, stage: int) -> tuple:
 def _values(spans: Iterable[tuple]) -> Iterator[int]:
     """AC(n) for the n of each span (rows, stage, first, last) of extremal._spans, in order.
 
-    Each span's _record gives AC(n) = base + sign W(x) - W(y).  A span's
-    first n takes the full pass; when it holds more n, that pass keeps the
-    digits of x and y, and each later n steps them by the plan's odometer:
-    x up, and y up (sign 1) or down (sign -1).
+    Each span's _record gives AC(n) = base + sign W(x) - W(y), and n rises
+    monotonically, so the stage bracket is checked at first and last.  A
+    span of one n takes the full pass alone.  A longer one is read in
+    windows of at most _WINDOW n: W(x + 1) - W(x) is the letter u_x of the
+    fixed point, 1 for B, so the steps of a window are two
+    numeration._letters slices from the digits of x and y at its start.
+    The first window's digits come from one pass, and each later one's
+    from the last one's by numeration._advance, or by a pass where a
+    carry reaches place 24.  x rises; y rises (sign 1) or falls (sign -1),
+    and then y is taken at the window's last n and W(y) at its first adds
+    the slice's B's.
     """
+    return chain.from_iterable(_value_windows(spans))
+
+
+def _value_windows(spans: Iterable[tuple]) -> Iterator[list[int]]:
+    """_values' ints, one list per window of at most _WINDOW n."""
     for rows, stage, first, last in spans:
         rows, low, high, base, sign, x0, y0 = _record(rows, stage)
-        x, y = first - x0, sign * (first - y0)
-        if first == last:
-            weight_x, weight_y = b_weights(rows, x, y)
-        else:
-            (digits_x, digits_y), (weight_x, weight_y) = digit_lists(rows, (x, y))
-            digits_x.append(0)  # room for a carry to scan into
-            digits_y.append(0)
-            up = rows._plan.up
-            step_y = up if sign > 0 else rows._plan.down
-        value = base + sign * weight_x - weight_y
-        for n in range(first, last + 1):
-            assert low <= n < high, (rows.m, n, low, high)
-            assert value >= 2, (rows.m, n, value)
-            yield value
-            if n < last:
-                value += sign * up(digits_x) - step_y(digits_y)
+        assert low <= first and last < high, (rows.m, first, last, low, high)
+        plan, passed = rows._plan, None
+        for start in range(first, last + 1, _WINDOW):
+            steps = min(last - start, _WINDOW - 1)  # the window is start .. start + steps
+            at = start - x0, sign * (start + (steps if sign < 0 else 0) - y0)  # y at the last n if it falls
+            if first == last:
+                (weight_x, weight_y), moves = b_weights(rows, *at), ()
+            else:
+                # the last window's digits and weights, moved here, or a pass on a far carry
+                passed = passed and [_advance(plan, *pair, now - then)
+                                     for pair, now, then in zip(passed, at, was)]
+                if not passed or None in passed:
+                    passed = list(zip(*digit_lists(rows, at)))
+                was = at
+                (digits_x, weight_x), (digits_y, weight_y) = passed
+                letters_y = _letters(plan, digits_y, 0, steps)
+                bits_x = _letters(plan, digits_x, 0, steps).encode().translate(_BITS)
+                bits_y = letters_y.encode().translate(_BITS)
+                if sign < 0:  # W(y) at the first n adds the slice's B's
+                    weight_y += letters_y.count(B)
+                    moves = map(sub, bits_y[::-1], bits_x)
+                else:
+                    moves = map(sub, bits_x, bits_y)
+            values = list(accumulate(moves, initial=base + sign * weight_x - weight_y))
+            assert min(values) >= 2, (rows.m, start, min(values))
+            yield values
 
 
 def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
@@ -179,8 +211,8 @@ def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
 
     Each span's _record gives the stage bracket and AC(n) = base + sign
     W(x) - W(y); each n then takes one fresh greedy pass over x and y,
-    never the odometer, so this walk checks _values' steps against
-    passes of their own.  Every n asserts its stage bracket.
+    never a letter slice, so this walk checks the letters of _values'
+    slices against passes of their own.  Every n asserts its stage bracket.
     """
     for rows, stage, first, last in _spans(m, start, stop):
         rows, low, high, base, sign, x0, y0 = _record(rows, stage)

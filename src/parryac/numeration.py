@@ -4,8 +4,12 @@ U_k, the sum of the row (1, 0) M^k = (|phi^k(A)|_A, |phi^k(A)|_B) of the
 incidence matrix M, starts at 1 and strictly increases, so it is the base
 of a positional numeration: every n >= 0 has a greedy digit string
 (d_N, ..., d_0), most significant first, with n = sum d_j U_j and every
-digit at most p.  The length-n prefix of the fixed point is then
-(phi^N(A))^{d_N} ... (phi(A))^{d_1} A^{d_0}.
+digit at most p.  The length-n prefix of the fixed point u is then
+(phi^N(A))^{d_N} ... (phi(A))^{d_1} A^{d_0}.  It is phi of the prefix of
+length a = sum_{j>=1} d_j U_{j-1}, then A^{d_0}, a proper prefix of
+phi(u_a); so u[n:] = phi(u[a:])[d_0:].  _letters reads a slice of u from
+one place down, about 1/s as long for s >= 2 the shortest letter image,
+and _advance moves digits by the same identity j places down.
 
 One sequence gives both columns of the rows.  With t and d the trace and
 determinant of M (p + 1 and p - q in the non-simple family, p and -q in
@@ -52,13 +56,18 @@ from itertools import islice, repeat
 from operator import index, mul
 from typing import Sequence
 
-from .words import GENERATION_CAP, CapExceededError, Family, Morphism, _integer, _shown
+from .words import (GENERATION_CAP, A, B, CapExceededError, Family, Morphism, _cut_images,
+                    _image_prefix, _integer, _shown)
 
 #: Rows j below this are kept per morphism; the greedy pass splits the
 #: places above it at _LOW_PLACES 2^k.
 _LOW_PLACES = 128
 #: Single odometer steps that a split may take after its correction jump.
 _MAX_STEPS = 8
+#: Letter slices of at most this many letters are read by odometer steps.
+_LEAF_LETTERS = 8
+#: _advance moves the digits below this place; U_24 >= 2^24 for every closed-form morphism.
+_ADVANCE_PLACES = 24
 
 
 class _Plan:
@@ -368,6 +377,54 @@ def prefix_b_count(m: Morphism, n: int) -> int:
     """
     n = _integer(n, "n", 0)
     return b_weights(_top_rows(m, n), n)[0]
+
+
+def _letters(plan: _Plan, digits: list[int], start: int, length: int) -> str:
+    """u[pos : pos + length] of the fixed point u, pos the value of the greedy digits[start:].
+
+    With d_0 = digits[start] and a the value of digits[start + 1:], u[pos:]
+    = phi(u[a:])[d_0:], where A^{d_0} is a proper prefix of phi(u_a).  Every
+    letter image has at least s = q + 1 - simple >= 2 letters, so the
+    1 + ceil((length - 1) / s) letters of u from a cover the slice, and each
+    level is shorter than the last.  At most _LEAF_LETTERS letters are the
+    gains of as many odometer steps.  No level builds more than length
+    letters and one cut image, whatever p is.
+    """
+    if length <= _LEAF_LETTERS:
+        stepped = digits[start:] + [0] * (length + 2)  # room for the steps' carries
+        return "".join([(A, B)[plan.up(stepped)] for _ in range(length)])
+    m, shortest = plan.m, plan.m.q + 1 - plan.simple
+    source = _letters(plan, digits, start + 1, 1 + (length + shortest - 2) // shortest)
+    first = digits[start] if start < len(digits) else 0
+    count, tail = (m.p, B) if source[0] == A else (m.q, "" if plan.simple else B)
+    head = A * min(count - first, length) + tail
+    return _image_prefix(source[1:], _cut_images(m, length), length - len(head), head)[:length]
+
+
+def _advance(plan: _Plan, digits: list[int], weight: int, by: int) -> tuple[list[int], int] | None:
+    """The greedy digits and b_weights sum of value + by, from the value's, or None on a carry at j.
+
+    With j = _ADVANCE_PLACES, a the value of digits[j:] and r that of
+    digits[:j], the value is |phi^j(u[:a])| + r with r < |phi^j(u_a)|.  While
+    r + by stays in [0, |phi^j(u_a)|), the places >= j keep their digits and
+    those below j are the greedy digits of r + by; otherwise, or when there
+    is no place j, the result is None.  The cost is O(j) small steps and one
+    copy of the list, however large the value.
+    """
+    j, places = _ADVANCE_PLACES, plan.places
+    if len(digits) <= j:
+        return None
+    # |phi^j(u_a)| is U_j, or |phi^j(B)| = q U_{j-1} (simple) or U_{j+1} - p U_j (non-simple)
+    if _letters(plan, digits, j, 1) == A:
+        size = places[j][0]
+    else:
+        size = plan.m.q * places[j - 1][0] if plan.simple else places[j + 1][0] - plan.m.p * places[j][0]
+    column, low_weight = _columns(plan, [], digits, 0, j)
+    low = column + plan.simple * low_weight + by
+    if not 0 <= low < size:
+        return None
+    moved_weight, moved = _greedy(plan, [], low, j - 1)
+    return moved + digits[j:], weight - low_weight + moved_weight
 
 
 # --- the split recursion above the row list --------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 
@@ -180,24 +181,34 @@ def test_ac_range_equals_ac_across_stage_edges_past_the_row_list(m):
 def test_ac_range_equals_ac_at_5000_digits(m, monkeypatch):
     # 60 n from 30 below the first stage edge past n's top place, where the
     # range changes records, and from 30 below U_top past the last one, where
-    # the odometer carries above place 128: each lone ac takes the full pass
-    records, carries = [], []
+    # a letter slice's odometer steps carry above place 128: each lone ac
+    # takes the full pass
+    records, carries, starts = [], [], []
+    letters, up = numeration._letters, numeration._Plan.up
 
-    def spied(step):
-        def counted(plan, digits):
-            before = list(digits)
-            change = step(plan, digits)
-            carries.append(max(i for i, (a, b) in enumerate(zip(before, digits)) if a != b))
-            return change
-        return counted
+    def sliced(plan, digits, start, length):
+        starts.append(start)  # the place of the slice's first digit
+        try:
+            return letters(plan, digits, start, length)
+        finally:
+            starts.pop()
+
+    def counted(plan, digits):
+        before = list(digits)
+        gain = up(plan, digits)
+        if starts:  # a step of a slice, on its digits from place starts[-1]
+            changed = max(i for i, (a, b) in enumerate(zip(before, digits)) if a != b)
+            carries.append(starts[-1] + changed)
+        return gain
 
     def first_pass(rows, values):
         records.append(rows.top)
         return digit_lists(rows, values)
 
     monkeypatch.setattr(complexity, "digit_lists", first_pass)
-    for name in ("up", "down"):
-        monkeypatch.setattr(numeration._Plan, name, spied(getattr(numeration._Plan, name)))
+    monkeypatch.setattr(complexity, "_letters", sliced)
+    monkeypatch.setattr(numeration, "_letters", sliced)
+    monkeypatch.setattr(numeration._Plan, "up", counted)
     top = top_index(m, 7 * 10 ** 4999 + 12345)
     edges = _stage_edges(m, [top + 1])
     crossed = []
@@ -208,6 +219,48 @@ def test_ac_range_equals_ac_at_5000_digits(m, monkeypatch):
         crossed.append((len(records), max(carries, default=0)))
     if m.q > 1 or m.family is Family.NONSIMPLE:  # the Sturmian values need no records
         assert crossed[0][0] >= 2 and crossed[1][1] > 128, crossed
+
+
+#: Morphisms whose letter images run to 10^6 and 2^70 letters, and non-simple (7, 3).
+WIDE_PLACES = [make_morphism(10 ** 6, 1, "nonsimple"), make_morphism(7, 3, "nonsimple"),
+               make_morphism(2 ** 70, 3, "simple")]
+
+
+@pytest.mark.parametrize("start, stop", [(1, 10_000), (10 ** 40, 10 ** 40 + 4_999)])
+@pytest.mark.parametrize("m", WIDE_PLACES, ids=str)
+def test_ac_range_on_wide_places_equals_prefix_differences(m, start, stop):
+    # ranges of several windows, whose letter slices cut images far longer
+    # than themselves, against verify's walk at each n and lone ac at some
+    values = [result.value for result in ac_range(m, start, stop)]
+    assert values == list(complexity._prefix_differences(m, start, stop))
+    for n in random.Random(start).sample(range(start, stop + 1), 40):
+        assert ac(m, n).value == values[n - start], n
+
+
+def test_ac_range_crosses_windows_inside_one_stage(nonsimple31):
+    # n = 22,288..30,000 is one stage of non-simple (3, 1), U_8 = 22,288, and
+    # more than one window of _values
+    assert u_value(nonsimple31, 8) == 22_288 and 30_000 - 22_288 > complexity._WINDOW
+    values = [result.value for result in ac_range(nonsimple31, 1, 30_000)]
+    assert values == list(complexity._prefix_differences(nonsimple31, 1, 30_000))
+
+
+@pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]], ids=str)
+def test_ac_range_moves_digits_from_window_to_window(m, monkeypatch):
+    # past place 24 a window's digits are the last window's, moved; in the
+    # non-simple family x = n, so the carry into place 30 at n = 2 U_30
+    # takes a fresh pass instead
+    passes = []
+
+    def counted(rows, values):
+        passes.append(values)
+        return digit_lists(rows, values)
+
+    monkeypatch.setattr(complexity, "digit_lists", counted)
+    start = 2 * u_value(m, 30) - 7_000
+    values = [result.value for result in ac_range(m, start, start + 14_000)]
+    assert values == list(complexity._prefix_differences(m, start, start + 14_000))
+    assert 1 + (m.family is Family.NONSIMPLE) <= len(passes) < 14_001 / complexity._WINDOW, passes
 
 
 @pytest.mark.parametrize("m", [NONSIMPLE_GRID[1], SIMPLE_GRID[1], SIMPLE_GRID[-1]], ids=str)

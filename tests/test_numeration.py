@@ -368,6 +368,69 @@ def test_odometer_steps_greedy_digits(m):
             _assert_steps(m, low, high, a + b - 2 + shift)
 
 
+# --- letter slices --------------------------------------------------------------------
+
+#: The closed-form morphisms of the grid, non-simple (7, 3), and the two whose
+#: letter images are too long to build whole: p = 10^6 and p = 2^70.
+LETTER_MORPHISMS = ([m for m in FULL_GRID if m.family is Family.NONSIMPLE or m.q > 1]
+                    + [make_morphism(7, 3, "nonsimple"), make_morphism(10 ** 6, 1, "nonsimple"),
+                       make_morphism(2 ** 70, 3, "simple")])
+
+
+def _letters_at(m, pos, length):
+    return numeration._letters(_plan(m), list(reversed(normal_u_rep(m, pos))), 0, length)
+
+
+@pytest.mark.parametrize("m", LETTER_MORPHISMS, ids=str)
+def test_letters_are_slices_of_the_fixed_point(m):
+    # slices from every pos = 0..3000, short ones read by odometer steps alone,
+    # against the prefix that substitution builds
+    word = fixed_point_prefix(m, 4000)
+    for pos in range(3001):
+        for length in (1, 2, 3, 7, 64, 1000):
+            assert _letters_at(m, pos, length) == word[pos:pos + length], (pos, length)
+
+
+@pytest.mark.parametrize("m", LETTER_MORPHISMS, ids=str)
+def test_letters_past_the_row_list_step_the_prefix_b_count(m):
+    # around U_j past place 128, where the digits come from split passes and
+    # the slice crosses a carry into place j: each letter is B exactly where
+    # the prefix B-count grows
+    for j in (127, 128, 129, 255, 256, 257):
+        u = u_value(m, j)
+        for pos in (u - 1, u, u + 1):
+            counts = [prefix_b_count(m, pos + i) for i in range(65)]
+            expected = "".join("AB"[high - low] for low, high in zip(counts, counts[1:]))
+            for length in (1, 2, 3, 7, 64):
+                assert _letters_at(m, pos, length) == expected[:length], (j, pos, length)
+
+
+
+@pytest.mark.parametrize("m", LETTER_MORPHISMS, ids=str)
+def test_advance_moves_the_low_digits_or_declines(m):
+    # value + by from the value's digits and weight: exact while the places
+    # from 24 up keep their digits, None when they change or do not exist
+    rng = random.Random(11)
+    values = [rng.randrange(10 ** 30, 10 ** 60) for _ in range(10)] + [5, 10 ** 6]
+    for j in (24, 25, 30, 130):
+        u, u24 = u_value(m, j), u_value(m, 24)
+        values += [u - 3, u, u + 5, 2 * u - 100, u + u24 - 50, u + u24 + 50]
+    plan, advanced = _plan(m), 0
+    for value in values:
+        rows = place_rows(m, top_index(m, value + 10 ** 4))
+        (digits,), (weight,) = digit_lists(rows, (value,))
+        for by in (0, 1, -1, 100, -100, 4096, -4096, 12345, -12345):
+            if value + by < 0:
+                continue
+            (expected,), (expected_weight,) = digit_lists(rows, (value + by,))
+            got = numeration._advance(plan, digits, weight, by)
+            if len(digits) > 24 and digits[24:] == expected[24:]:
+                assert got == (expected, expected_weight), (value, by)
+                advanced += 1
+            else:
+                assert got is None, (value, by)
+    assert advanced > 100
+
 # --- large-n certificates ----------------------------------------------------------
 
 #: The baseline three, two non-simple morphisms with d = p - q > 1 (one with
