@@ -16,6 +16,10 @@ to its code through one table.  Output is deterministic; --format selects
 plain, csv, or json where applicable.  One printer writes the one-record
 results of `oracle` and `maxac`, and every JSON object opens with the
 morphism's p, q and family.  The parser is built once, on first use.
+
+`ac` writes a range one window of values at a time, filling per-value
+row templates with one `%`; n prints as a high part, converted to
+decimal once per 10^9 rows, and a zero-padded low part below 10^9.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, repeat
 
 from .complexity import METHOD_STURMIAN, _ac_values, _prefix_differences, balance_bound, max_ac
 from .numeration import normal_u_rep
@@ -52,8 +56,8 @@ EX_UNSUPPORTED = 65
 _EXIT_CODES = {UnsupportedConstructionError: EX_UNSUPPORTED, ValueError: EX_USAGE,
                CapExceededError: EX_USAGE, OracleInstabilityError: EX_UNSTABLE}
 
-#: Rows joined into one write while `ac` streams a range.
-_CHUNK_ROWS = 4096
+#: `ac` prints n as a high part, converted once, and a low part below this.
+_LOW = 10 ** 9
 
 
 class _UsageError(Exception):
@@ -133,27 +137,42 @@ def _cmd_ac(m: Morphism, args) -> int:
     n_end = args.n_end if args.n_end is not None else n_start
     if n_start < 1 or n_end < n_start:
         raise ValueError(f"need 1 <= n <= n_end, got n={_shown(n_start)}, n_end={_shown(n_end)}")
-    method, values = _ac_values(m, n_start, n_end)
-    results = zip(range(n_start, n_end + 1), values)
+    method, windows = _ac_values(m, n_start, n_end)
     if args.format == "csv":
-        head, sep, tail = "n,ac,method\n", "\n", "\n"
-        rows = (f"{n},{value},{method}" for n, value in results)
+        head, sep, row, tail = "n,ac,method\n", "\n", "%s,%d," + method, "\n"
     elif args.format == "json":
         # the bytes json.dumps gives for the whole payload: rows go between head and tail
         envelope = json.dumps({**_identity(m), "results": []})
         head, sep, tail = envelope[:-2], ", ", envelope[-2:] + "\n"
-        rows = (f'{{"n": "{n}", "ac": {value}, "method": "{method}"}}' for n, value in results)
+        row = '{"n": "%s", "ac": %d, "method": "' + method + '"}'
     else:
-        head, sep, tail = "", "\n", "\n"
-        rows = (f"{n} {value} {method}" for n, value in results)
+        head, sep, row, tail = "", "\n", "%s %d " + method, "\n"
     write = sys.stdout.write
     write(head)
-    lead = ""
-    while chunk := sep.join(islice(rows, _CHUNK_ROWS)):
-        write(lead + chunk)
-        lead = sep
+    cut = len(sep)  # the first row's separator
+    high, low = divmod(n_start, _LOW)
+    rows = _Rows(sep + row, high)
+    for values in windows:
+        while values:
+            if low == _LOW:  # n's high part steps
+                high, low, rows = high + 1, 0, _Rows(sep + row, high + 1)
+            k = min(len(values), _LOW - low)  # the rows up to the next multiple of _LOW
+            part = values if k == len(values) else values[:k]
+            write(("".join(map(rows.__getitem__, part)) % (*range(low, low + k),))[cut:])
+            values, cut, low = values[k:], 0, low + k
     write(tail)
     return EX_OK
+
+
+class _Rows(dict):
+    """`ac`'s row for each value, built on first use: `row` with the value and n's high part."""
+
+    def __init__(self, row: str, high: int):
+        self.row, self.n = row, str(high) + "%09d" if high else "%d"
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.row % (self.n, value)
+        return text
 
 
 def _cmd_oracle(m: Morphism, args) -> int:
@@ -173,9 +192,9 @@ def _cmd_verify(m: Morphism, args) -> int:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {_shown(n_max)}")
     # the Sturmian family (simple, q = 1) has no v and w, so no prefix difference
-    method, closed_forms = _ac_values(m, 1, n_max)
+    method, windows = _ac_values(m, 1, n_max)
     diffs = repeat("n/a") if method == METHOD_STURMIAN else _prefix_differences(m, 1, n_max)
-    routes = zip(range(1, n_max + 1), closed_forms, diffs, _certified_extrema(m, 1, n_max))
+    routes = zip(range(1, n_max + 1), chain.from_iterable(windows), diffs, _certified_extrema(m, 1, n_max))
     mismatched = False
     for n, closed, diff, (_, low, high) in routes:
         brute = 1 + high - low

@@ -22,23 +22,23 @@ stage: k = J + 2 in the non-simple family and s = M + N in the simple
 one, where it changes once between U_J and U_{J+1}.  One walk,
 extremal._spans, cuts a range of n into spans of one stage and one top J;
 _record turns a span's stage into AC(n) = base +- W(x) - W(y), W the
-greedy pass, and _values walks the span's n from one top window.
-ac_range streams those values, bare ints that it wraps in ACResult
-records (the CLI reads the ints), and ac and ac_nonsimple are its one-n
-case.  x and y move by one per n, and W(x + 1) - W(x) is the letter u_x
-of the fixed point, 1 for B and 0 for A.  So _values reads a span in
-windows of at most 4,096 n: from the digits of x and y at a window's
-start, numeration._letters reads the two slices of u that they cross,
-in O(window) string work.  The span's first window takes one greedy pass
-for those digits, and each later one moves the last one's below place
-24, so a long range at a large n takes about one pass per span.  A span
-of one n takes the pass alone and keeps no digits.
+greedy pass, and _value_windows walks the span's n from one top window.
+_ac_values streams those values in windows of at most 4,096 bare ints:
+the CLI writes each at once, ac_range chains them into ACResult records,
+and ac and ac_nonsimple are its one-n case.  x and y move by one per n,
+and W(x + 1) - W(x) is the letter u_x of the fixed point, 1 for B and 0
+for A.  So from the digits of x and y at a window's start,
+numeration._letters reads the two slices of u that they cross, in
+O(window) string work.  A span's first window takes one greedy pass for
+those digits, and each later one moves the last one's below place 24,
+so a long range at a large n takes about one pass per span.  A span of
+one n takes the pass alone and keeps no digits.
 
 ac_via_prefix_counts, 1 + |w_n|_B - |v_n|_B, composes the public stage
 choice and B-count functions: it shares ac's greedy pass, _spans, stage
 kernels and Rows.sum, but not _record.  _prefix_differences reads
 ac_range's spans and records but takes a fresh greedy pass per n, never
-a letter slice, so over a range `verify` checks each letter _values reads.
+a letter slice, so `verify` checks each letter _value_windows reads.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .words import B, Family, Morphism, _integer, _shown
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_STURMIAN = "sturmian"
 
-#: The most n of one window of _values, whose letter slices and values it holds.
+#: The most n of one window of _value_windows, whose letter slices and values it holds.
 _WINDOW = 4096
 #: Letters to their B-counts, 0 for A and 1 for B.
 _BITS = bytes.maketrans(b"AB", b"\0\1")
@@ -105,8 +105,8 @@ def _record(rows: Rows, stage: int) -> tuple:
     return rows, low, high, 2 + (rows.m.q - 1) * sums, 1, x0, y0
 
 
-def _values(spans: Iterable[tuple]) -> Iterator[int]:
-    """AC(n) for the n of each span (rows, stage, first, last) of extremal._spans, in order.
+def _value_windows(spans: Iterable[tuple]) -> Iterator[list[int]]:
+    """AC(n) for the n of each span (rows, stage, first, last) of extremal._spans, by window.
 
     Each span's _record gives AC(n) = base + sign W(x) - W(y), and n rises
     monotonically, so the stage bracket is checked at first and last.  A
@@ -120,11 +120,6 @@ def _values(spans: Iterable[tuple]) -> Iterator[int]:
     and then y is taken at the window's last n and W(y) at its first adds
     the slice's B's.
     """
-    return chain.from_iterable(_value_windows(spans))
-
-
-def _value_windows(spans: Iterable[tuple]) -> Iterator[list[int]]:
-    """_values' ints, one list per window of at most _WINDOW n."""
     for rows, stage, first, last in spans:
         rows, low, high, base, sign, x0, y0 = _record(rows, stage)
         assert low <= first and last < high, (rows.m, first, last, low, high)
@@ -170,15 +165,16 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     if k is not None and n > (length := _w_stage_nonsimple(rows.at(k), k)[0]):
         raise ValueError(f"k={_shown(k)} is inadmissible: n={_shown(n)} exceeds "
                          f"|w^({_shown(k)})|={_shown(length)}")
-    return next(_values(((rows, stage if k is None else k, n, n),)))
+    return next(_value_windows(((rows, stage if k is None else k, n, n),)))[0]
 
 
-def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[int]]:
-    """The method, and AC(n) for n = start..stop as bare ints, unchecked: the one
-    family dispatch.  The Sturmian stream is an endless 2 that callers zip with n."""
+def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[list[int]]]:
+    """The method, and AC(n) for n = start..stop in windows, lists of at most _WINDOW
+    bare ints, unchecked: the one family dispatch.  Sturmian windows are all 2."""
     if m.family is Family.SIMPLE and m.q == 1:
-        return METHOD_STURMIAN, repeat(2)
-    return METHOD_CLOSED_FORM, _values(_spans(m, start, stop))
+        sizes = (min(_WINDOW, stop + 1 - n) for n in range(start, stop + 1, _WINDOW))
+        return METHOD_STURMIAN, ([2] * size for size in sizes)
+    return METHOD_CLOSED_FORM, _value_windows(_spans(m, start, stop))
 
 
 def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
@@ -191,8 +187,8 @@ def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:
     start, stop = _integer(start, "start"), _integer(stop, "stop", None)
     if stop < start:
         raise ValueError(f"stop={_shown(stop)} is below start={_shown(start)}")
-    method, values = _ac_values(m, start, stop)
-    return map(ACResult, range(start, stop + 1), values, repeat(method))
+    method, windows = _ac_values(m, start, stop)
+    return map(ACResult, range(start, stop + 1), chain.from_iterable(windows), repeat(method))
 
 
 def ac(m: Morphism, n: int) -> ACResult:
@@ -211,7 +207,7 @@ def _prefix_differences(m: Morphism, start: int, stop: int) -> Iterator[int]:
 
     Each span's _record gives the stage bracket and AC(n) = base + sign
     W(x) - W(y); each n then takes one fresh greedy pass over x and y,
-    never a letter slice, so this walk checks the letters of _values'
+    never a letter slice, so this walk checks the letters of _value_windows'
     slices against passes of their own.  Every n asserts its stage bracket.
     """
     for rows, stage, first, last in _spans(m, start, stop):

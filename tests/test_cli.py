@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout, suppress
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,72 @@ def test_ac_long_range_streams_in_constant_memory():
         tracemalloc.stop()
     assert code == EX_OK
     assert peak < 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("argv", [S32, NS31, S41])
+@pytest.mark.parametrize("n_start, n_end", [
+    (999_999_990, 1_000_000_010), (1_999_999_997, 2_000_000_003), (10 ** 9, 10 ** 9),
+    (10 ** 9 - 1, 10 ** 9 - 1), (10 ** 30 - 5, 10 ** 30 + 5)])
+def test_ac_range_rows_across_the_high_part_of_n(capsys, argv, fmt, n_start, n_end):
+    # n prints as a high part, which steps at each multiple of 10^9, and a
+    # zero-padded low part
+    m = make_morphism(int(argv[3]), int(argv[5]), argv[1])
+    assert run(capsys, ["ac", *argv, "--format", fmt, "--n", str(n_start), "--n-end", str(n_end)]) == (
+        EX_OK, _payload_text(m, fmt, n_start, n_end), "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("argv", [S32, NS31, S41])
+def test_ac_range_splits_a_window_at_a_multiple_of_the_low_part(capsys, argv, fmt):
+    # one window of values holds n = 10^9 - 1 and 10^9, so its rows are
+    # written in two parts, before and after the high part steps
+    m = make_morphism(int(argv[3]), int(argv[5]), argv[1])
+    n_start, n_end = 10 ** 9 - 100, 10 ** 9 + 4_200
+    first = n_start
+    for window in complexity._ac_values(m, n_start, n_end)[1]:
+        if first < 10 ** 9 < first + len(window):
+            break
+        first += len(window)
+    else:
+        pytest.fail("no window holds both 10^9 - 1 and 10^9")
+    assert run(capsys, ["ac", *argv, "--format", fmt, "--n", str(n_start), "--n-end", str(n_end)]) == (
+        EX_OK, _payload_text(m, fmt, n_start, n_end), "")
+
+
+class _Ends(io.TextIOBase):
+    """A sink that keeps the line count and the first and last characters written."""
+
+    KEEP = 300_000
+
+    def __init__(self):
+        self.lines, self.head, self.tail = 0, "", ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        if len(self.head) < self.KEEP:
+            self.head += text[:self.KEEP]
+        self.tail = (self.tail + text[-self.KEEP:])[-self.KEEP:]
+        return len(text)
+
+
+def test_ac_range_at_a_hundred_thousand_digit_n(nonsimple31):
+    # 1,001 rows from n of 10^5 digits: one decimal conversion per row took
+    # minutes on interpreters whose int-to-str is quadratic
+    head = "7" + "0" * 99_994
+    start, end = head + "12345", head + "13345"
+    value = 0
+    for chunk in (start[at:at + 1000] for at in range(0, len(start), 1000)):
+        value = value * 10 ** len(chunk) + int(chunk)  # no conversion over the int-string limit
+    sink = _Ends()
+    with redirect_stdout(sink):
+        code = main(["ac", *NS31, "--format", "csv", "--n", start, "--n-end", end])
+    assert code == EX_OK
+    assert sink.lines == 1 + 1_001
+    header, first_row = sink.head.split("\n")[:2]
+    assert header == "n,ac,method"
+    assert first_row == f"{start},{ac(nonsimple31, value).value},closed_form"
+    assert sink.tail.split("\n")[-2:] == [f"{end},{ac(nonsimple31, value + 1000).value},closed_form", ""]
 
 
 def test_ac_rejects_zero(capsys):
@@ -343,9 +410,9 @@ def test_verify_reports_each_mismatch(capsys, monkeypatch):
 
 def test_verify_reports_a_wrong_closed_form_value(capsys, monkeypatch):
     # verify's spans start at n = 1
-    right = complexity._values
-    monkeypatch.setattr(complexity, "_values", lambda spans: (
-        value + (n == 7) for n, value in enumerate(right(spans), 1)))
+    right = complexity._value_windows
+    monkeypatch.setattr(complexity, "_value_windows", lambda spans: (
+        [value + (n == 7)] for n, value in enumerate(chain.from_iterable(right(spans)), 1)))
     code, out, _ = run(capsys, ["verify", *NS31, "--n-max", "10"])
     assert code == EX_MISMATCH
     assert out == "MISMATCH n=7: closed_form=4 prefix_difference=3 oracle=3\n"

@@ -239,7 +239,7 @@ def test_ac_range_on_wide_places_equals_prefix_differences(m, start, stop):
 
 def test_ac_range_crosses_windows_inside_one_stage(nonsimple31):
     # n = 22,288..30,000 is one stage of non-simple (3, 1), U_8 = 22,288, and
-    # more than one window of _values
+    # more than one window of _value_windows
     assert u_value(nonsimple31, 8) == 22_288 and 30_000 - 22_288 > complexity._WINDOW
     values = [result.value for result in ac_range(nonsimple31, 1, 30_000)]
     assert values == list(complexity._prefix_differences(nonsimple31, 1, 30_000))
@@ -383,7 +383,7 @@ def test_ac_via_prefix_counts_shares_no_closed_form_code(m, monkeypatch):
     def refuse(*args):
         raise AssertionError("closed-form code called")
 
-    for name in ("_record", "_values", "_prefix_differences", "digit_lists"):
+    for name in ("_record", "_value_windows", "_prefix_differences", "digit_lists"):
         monkeypatch.setattr(complexity, name, refuse)
     assert [ac_via_prefix_counts(m, n) for n in ns] == expected
 

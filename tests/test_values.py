@@ -15,6 +15,7 @@ import hashlib
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 
 from parryac import cli, complexity, make_morphism, normal_u_rep, oracle, prefix_b_count, u_value
 
@@ -44,8 +45,8 @@ def test_oracle_digest():
 
 def _closed_form_lines():
     for p, q, family, m in _morphisms():
-        method, values = complexity._ac_values(m, 1, N_MAX)
-        for n, value in zip(range(1, N_MAX + 1), values):
+        method, windows = complexity._ac_values(m, 1, N_MAX)
+        for n, value in zip(range(1, N_MAX + 1), chain.from_iterable(windows)):
             yield f"{p},{q},{family},{n},{value},{method}\n"
 
 
