@@ -17,9 +17,10 @@ plain, csv, or json where applicable.  One printer writes the one-record
 results of `oracle` and `maxac`, and every JSON object opens with the
 morphism's p, q and family.  The parser is built once, on first use.
 
-`ac` writes a range one window of values at a time, filling per-value
-row templates with one `%`; n prints as a high part, converted to
-decimal once per 10^9 rows, and a zero-padded low part below 10^9.
+`ac` writes a range one window of values at a time, in parts of about
+2^20 characters at most, filling per-value row templates with one `%`;
+n prints as a high part, converted to decimal once per 10^9 rows, and a
+zero-padded low part below 10^9.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ _EXIT_CODES = {UnsupportedConstructionError: EX_UNSUPPORTED, ValueError: EX_USAG
 
 #: `ac` prints n as a high part, converted once, and a low part below this.
 _LOW = 10 ** 9
+#: `ac` writes about this many characters at most at once, however long n is.
+_WRITE = 1 << 20
 
 
 class _UsageError(Exception):
@@ -156,7 +159,7 @@ def _cmd_ac(m: Morphism, args) -> int:
         while values:
             if low == _LOW:  # n's high part steps
                 high, low, rows = high + 1, 0, _Rows(sep + row, high + 1)
-            k = min(len(values), _LOW - low)  # the rows up to the next multiple of _LOW
+            k = min(len(values), _LOW - low, max(1, _WRITE // len(rows.n)))  # to the next multiple of _LOW
             part = values if k == len(values) else values[:k]
             write(("".join(map(rows.__getitem__, part)) % (*range(low, low + k),))[cut:])
             values, cut, low = values[k:], 0, low + k

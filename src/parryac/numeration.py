@@ -16,10 +16,10 @@ determinant of M (p + 1 and p - q in the non-simple family, p and -q in
 the simple one), let s_{-1} = 0, s_0 = 1 and s_{j+1} = t s_j - d s_{j-1}.
 Then |phi^j(A)|_B = s_{j-1}, and U_j = s_j (non-simple) or s_j + s_{j-1}
 (simple), so the window (s_j, s_{j-1}) holds row j.  A window comes from
-2x2 matrix powering, by doubling in O(log j) products, and moves up i
-places as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1} and down i places by one
-exact division by d^i.  Each morphism keeps one plan, built whole, with
-the rows j < 128: they cover every n below about 2^88 and end every pass.
+2x2 matrix powering, by doubling in O(log j) products, and gives row
+j + i, i <= 128, as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1}: rows are read
+upward only.  Each morphism keeps one plan, built whole, with the rows
+j < 128: they cover every n below about 2^88 and end every pass.
 
 Above the list, the greedy pass (`digit_lists`; `b_weights` drops the
 digits) splits the places at the largest h = 128 2^k below the top and
@@ -33,7 +33,9 @@ c s_{i-1} s_{h-1} (c = d, or 1 + t + d in the simple family) gives
 f(m) is the length of phi^h of the length-m prefix, so m is the largest
 with f(m) <= x; the odometer steps the digits of its estimate x U_h /
 U_{2h} to it.  With U_h / U_{2h} by Newton's iteration, once per pass, a
-node costs O(1) products no larger than itself: O(M(L) log L) for L bits.
+node costs O(1) products no larger than itself: O(M(L) log L) for L bits,
+were it not for the last split's one `//`, quadratic in CPython (16.1 s
+of 24.7 s at 10^6 digits).
 
 Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
 d x_k.  Summed over k, that gives x_0 + ... + x_k = (x_0 + x_1 - t x_0 +
@@ -184,22 +186,13 @@ def _window(plan: _Plan, k: int) -> tuple[int, int]:
     return s, s1
 
 
-def _step_down(plan: _Plan, s0: int, s1: int, places: int) -> tuple[int, int]:
-    """The window `places` (<= 128) below (s0, s1), by one exact division by d^places."""
-    s, q_coef = plan.s, plan.q_coef
-    divisor = plan.det ** places
-    return ((q_coef[places] * s0 - q_coef[places + 1] * s1) // divisor,
-            (s[places + 1] * s1 - s[places] * s0) // divisor)
-
-
 class Rows:
-    """The rows (1, 0) M^j of one morphism, read from one window at place `top`.
+    """The rows (1, 0) M^j of one morphism, read upward from one window at place `top`.
 
-    A stage reads U_j and sums for j from top - 2 to top + 4.  Rows j < 128
-    come from the plan, the others from the window (s_top, s_{top-1}): above
-    it as s_{top+i} = s_i s_top + Q_i s_{top-1}, up to 128 places below it
-    by one _step_down (farther off by doubling).  `at` moves to a nearby top
-    the same way, so a walk over stages pays for one window by doubling.
+    Rows j < 128 come from the plan, the others from the window (s_top,
+    s_{top-1}): up to 128 places above it as s_{top+i} = s_i s_top + Q_i
+    s_{top-1}, any other by doubling.  `at` moves up the same way, so a
+    walk over stages pays for one window by doubling.
     """
 
     __slots__ = ("m", "top", "_plan", "_s_top", "_s_prev")
@@ -215,12 +208,10 @@ class Rows:
         if 0 <= i < len(plan.s) - 1:
             s, q_coef, s_top, s_prev = plan.s, plan.q_coef, self._s_top, self._s_prev
             return s[i + 1] * s_top + q_coef[i + 1] * s_prev, s[i] * s_top + q_coef[i] * s_prev
-        if -_LOW_PLACES <= i < 0:
-            return _step_down(plan, self._s_top, self._s_prev, -i)
-        return _window(plan, j)  # far from the window, as for an explicit k in ac_nonsimple
+        return _window(plan, j)  # below or far above the window, as for an explicit k in ac_nonsimple
 
     def at(self, j: int) -> Rows:
-        """The rows at top j, from this window: products above it, _step_down below."""
+        """The rows at top j, from this window: by products above it, by doubling below."""
         return Rows(self._plan, j, self.window(j) if j >= _LOW_PLACES else None)
 
     def place(self, j: int) -> tuple[int, int]:
@@ -238,10 +229,13 @@ class Rows:
         """Sum over 0 <= j <= k, j = k (mod step 1 or 2), of x_j = weights . row j.
 
         Weights (1, 1) sum U, (0, 1) sum |phi^j(A)|_B; k < 0 gives 0.  The
-        rows read are k and k + step, so take rows with top near k.
+        rows read are k + step and k + 2 step, so rows with top at most
+        k + step serve it.
         """
         if k < 0:
             return 0
+        trace, det = self._plan.steps[step - 1]
+        k, lift = k + step, trace - 1  # the sum to k is the sum to k + step less x_{k+step}
         places = self._plan.places
         (u_k, b_k), (u_k1, b_k1) = self.place(k), self.place(k + step)
         # x_j = wa |phi^j(A)|_A + wb |phi^j(A)|_B = wa U_j + wb' |phi^j(A)|_B
@@ -250,8 +244,7 @@ class Rows:
         r = k % step
         (u_r, b_r), (u_r1, b_r1) = places[r], places[r + step]
         x0, x1 = wa * u_r + wb * b_r, wa * u_r1 + wb * b_r1
-        trace, det = self._plan.steps[step - 1]
-        return (x0 + x1 - trace * x0 + det * (wa * u_k + wb * b_k) - wa * u_k1 - wb * b_k1) // (1 - trace + det)
+        return (x0 + x1 - trace * x0 + lift * (wa * u_k + wb * b_k) - wa * u_k1 - wb * b_k1) // (1 - trace + det)
 
 
 def place_rows(m: Morphism, top: int) -> Rows:
@@ -263,16 +256,12 @@ def place_rows(m: Morphism, top: int) -> Rows:
     return Rows(_plan(m), top)
 
 
-def top_index(m: Morphism, n: int) -> int:
-    """Smallest N >= 0 with n < U_{N+1}: the top place of n's greedy digits."""
-    return _top_rows(m, _integer(n, "n", 0)).top
-
-
 def _top_rows(m: Morphism, n: int) -> Rows:
-    """place_rows(m, top_index(m, n)), with one window for the search and the rows."""
+    """The rows at n's top place, the smallest N >= 0 with n < U_{N+1}, from one window."""
     plan = _plan(m)
-    # U_j is within a small factor of beta^j, so the estimate is off by a place or two
-    top = max(int((n.bit_length() - 1) / plan.log2_beta), 0)
+    # U_j is within a small factor of beta^j, so the estimate is at most a place high:
+    # start two below it and step up; the step down is a safety net
+    top = max(int((n.bit_length() - 1) / plan.log2_beta) - 2, 0)
     rows = Rows(plan, top)
     while top and rows.u(top) > n:  # n = 0 stops at place 0
         top -= 1

@@ -45,6 +45,7 @@ FAR_W = "tests/test_extremal.py::test_far_w_stages_nonsimple_equal_running_sums"
 #: cli._cmd_ac's text between the three pieces that its late-step mutant changes.
 _ROW_STEP = "  # n's high part steps\n                high, low, rows = high + 1, "
 _ROW_PART = "\n            k = min(len(values), "
+WINDOWS = "tests/test_numeration.py::test_one_top_window_per_call"
 
 MUTANTS = (
     Mutant("stage-length-past-700", "src/parryac/extremal.py",
@@ -97,13 +98,22 @@ MUTANTS = (
            "word_prefix(m, UBETA, length))",
            ("tests/test_words.py::test_concurrent_readers_share_caches",)),
     Mutant("row-counter-steps-one-row-late", "src/parryac/cli.py",
-           "if low == _LOW:" + _ROW_STEP + "0, _Rows(sep + row, high + 1)" + _ROW_PART + "_LOW - low)",
-           "if low == _LOW + 1:" + _ROW_STEP + "1, _Rows(sep + row, high + 1)" + _ROW_PART + "_LOW + 1 - low)",
+           "if low == _LOW:" + _ROW_STEP + "0, _Rows(sep + row, high + 1)" + _ROW_PART + "_LOW - low, ",
+           "if low == _LOW + 1:" + _ROW_STEP + "1, _Rows(sep + row, high + 1)" + _ROW_PART + "_LOW + 1 - low, ",
            ("tests/test_cli.py::test_ac_range_rows_across_the_high_part_of_n",)),
     Mutant("json-first-separator-kept", "src/parryac/cli.py",
            "cut = len(sep)  # the first row's separator",
            "cut = len(sep) if sep == \"\\n\" else 0  # the first row's separator",
            ("tests/test_cli.py::test_ac_range_output_is_the_whole_payload",)),
+    # the same values from rows read below the top: each such read doubles afresh
+    Mutant("top-rows-from-above", "src/parryac/numeration.py",
+           "top = max(int((n.bit_length() - 1) / plan.log2_beta) - 2, 0)",
+           "top = max(int((n.bit_length() - 1) / plan.log2_beta) + 2, 0)",
+           (WINDOWS,)),
+    Mutant("sum-reads-row-k", "src/parryac/numeration.py",
+           "k, lift = k + step, trace - 1",
+           "k, lift = k, det",
+           (WINDOWS,)),
 )
 
 #: Seconds before a pytest run counts as not killing its mutant.

@@ -105,6 +105,15 @@ def _payload_text(m, fmt, n_start, n_end):
     return "".join(f"{r.n} {r.value} {r.method}\n" for r in results)
 
 
+def _assert_same_text(got, expected):
+    """Fail at the first character where got and expected differ, never by a diff of both."""
+    if got != expected:  # pytest's diff of two long texts can take minutes
+        at = len(os.path.commonprefix((got, expected)))
+        near = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"texts differ at character {at} (lengths {len(got)} and {len(expected)}): "
+                    f"{got[near]!r} != {expected[near]!r}")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 @pytest.mark.parametrize("argv", [S32, NS31, S41])
 @pytest.mark.parametrize("n_start, n_end", [(1, 9000), (7, 7), (10 ** 20, 10 ** 20 + 5)])
@@ -114,7 +123,7 @@ def test_ac_range_output_is_the_whole_payload(capsys, argv, fmt, n_start, n_end)
     code, out, _ = run(capsys, ["ac", *argv, "--format", fmt,
                                 "--n", str(n_start), "--n-end", str(n_end)])
     assert code == EX_OK
-    assert out == _payload_text(m, fmt, n_start, n_end)
+    _assert_same_text(out, _payload_text(m, fmt, n_start, n_end))
 
 
 class _Discard(io.TextIOBase):
@@ -182,14 +191,20 @@ class _Ends(io.TextIOBase):
         return len(text)
 
 
+def _parsed(text):
+    """int(text), in 1,000-digit chunks: no conversion over the int-string limit."""
+    value = 0
+    for chunk in (text[at:at + 1000] for at in range(0, len(text), 1000)):
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def test_ac_range_at_a_hundred_thousand_digit_n(nonsimple31):
     # 1,001 rows from n of 10^5 digits: one decimal conversion per row took
     # minutes on interpreters whose int-to-str is quadratic
     head = "7" + "0" * 99_994
     start, end = head + "12345", head + "13345"
-    value = 0
-    for chunk in (start[at:at + 1000] for at in range(0, len(start), 1000)):
-        value = value * 10 ** len(chunk) + int(chunk)  # no conversion over the int-string limit
+    value = _parsed(start)
     sink = _Ends()
     with redirect_stdout(sink):
         code = main(["ac", *NS31, "--format", "csv", "--n", start, "--n-end", end])
@@ -199,6 +214,27 @@ def test_ac_range_at_a_hundred_thousand_digit_n(nonsimple31):
     assert header == "n,ac,method"
     assert first_row == f"{start},{ac(nonsimple31, value).value},closed_form"
     assert sink.tail.split("\n")[-2:] == [f"{end},{ac(nonsimple31, value + 1000).value},closed_form", ""]
+
+
+def test_ac_range_from_a_long_n_writes_in_bounded_memory(nonsimple31):
+    # a window of 4,096 rows from n of 10^4 digits is some 40 MB of text;
+    # it is written in parts of about 2^20 characters
+    head = "7" + "0" * 9_994
+    start, end = head + "12345", head + "16440"
+    sink = _Ends()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(["ac", *NS31, "--format", "csv", "--n", start, "--n-end", end])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EX_OK
+    assert peak < 8 * 2 ** 20, peak
+    assert sink.lines == 1 + 4_096
+    value = _parsed(start)
+    assert sink.head.split("\n")[1] == f"{start},{ac(nonsimple31, value).value},closed_form"
+    assert sink.tail.split("\n")[-2:] == [f"{end},{ac(nonsimple31, value + 4_095).value},closed_form", ""]
 
 
 def test_ac_rejects_zero(capsys):

@@ -40,7 +40,7 @@ from parryac import (
     wv_stage_length_simple,
 )
 from parryac import complexity, numeration
-from parryac.numeration import digit_lists, top_index
+from parryac.numeration import _top_rows, digit_lists
 from parryac.words import word_prefix
 from conftest import (
     MATRIX_IDENTITY,
@@ -88,7 +88,7 @@ def test_ac_nonsimple_k_invariance(m):
         value = ac_nonsimple(m, n)
         assert ac_nonsimple(m, n, k=k) == value
         assert ac_nonsimple(m, n, k=k + 1) == value
-    # a k far above a large n's stage reads U_{N+1} farther below U_k than one _step_down
+    # a k far above a large n's stage is read from a window of its own, not from n's top
     n = 10 ** 300 + 7
     assert ac_nonsimple(m, n, k=choose_k_nonsimple(m, n) + 300) == ac_nonsimple(m, n)
 
@@ -170,7 +170,7 @@ def test_ac_range_equals_ac_across_stage_edges(m):
                          ids=str)
 def test_ac_range_equals_ac_across_stage_edges_past_the_row_list(m):
     # a range steps from stage to stage by moving its window; past place 128
-    # that is a product or a step down, where each lone ac doubles afresh
+    # that is a product upward, where each lone ac doubles afresh
     for edge in _stage_edges(m, (126, 127, 128, 129, 130, 300, 301)):
         start = edge - 3
         assert list(ac_range(m, start, start + 6)) == [ac(m, n) for n in range(start, start + 7)]
@@ -209,7 +209,7 @@ def test_ac_range_equals_ac_at_5000_digits(m, monkeypatch):
     monkeypatch.setattr(complexity, "_letters", sliced)
     monkeypatch.setattr(numeration, "_letters", sliced)
     monkeypatch.setattr(numeration._Plan, "up", counted)
-    top = top_index(m, 7 * 10 ** 4999 + 12345)
+    top = _top_rows(m, 7 * 10 ** 4999 + 12345).top
     edges = _stage_edges(m, [top + 1])
     crossed = []
     for start in (edges[0] - 30, edges[-1] + u_value(m, top) - 30):
@@ -344,7 +344,7 @@ def test_prefix_difference_walk_equals_public_composition(m):
     # past the row list, against the per-n public composition
     expected = [ac_via_prefix_counts(m, n) for n in range(1, 3001)]
     assert list(complexity._prefix_differences(m, 1, 3000)) == expected
-    j = top_index(m, 1000)
+    j = _top_rows(m, 1000).top
     middle = (u_value(m, j) + min(u_value(m, j + 1), 3000)) // 2
     assert u_value(m, j) < middle < u_value(m, j + 1) - 1
     assert list(complexity._prefix_differences(m, middle, 3000)) == expected[middle - 1:]
@@ -485,7 +485,6 @@ _LENGTH_TAKERS = {
     "ac_nonsimple k": lambda k: ac_nonsimple(_NS31, 7, k),
     "normal_u_rep": lambda n: normal_u_rep(_NS31, n),
     "prefix_b_count": lambda n: prefix_b_count(_NS31, n),
-    "top_index": lambda n: top_index(_NS31, n),
     "prefix_decomposition": lambda n: prefix_decomposition(_NS31, n),
     "choose_k_nonsimple": lambda n: choose_k_nonsimple(_NS31, n),
     "choose_mn_simple": lambda n: choose_mn_simple(_S32, n),

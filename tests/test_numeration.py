@@ -18,6 +18,8 @@ from parryac import (
     ac,
     ac_range,
     ac_via_prefix_counts,
+    choose_k_nonsimple,
+    choose_mn_simple,
     fixed_point_prefix,
     make_morphism,
     normal_u_rep,
@@ -25,9 +27,12 @@ from parryac import (
     prefix_decomposition,
     u_rep_value,
     u_value,
+    v_b_count_simple,
+    w_b_count_nonsimple,
+    w_b_count_simple,
 )
 from parryac import numeration
-from parryac.numeration import _plan, b_weights, digit_lists, place_rows, top_index
+from parryac.numeration import _plan, _top_rows, b_weights, digit_lists, place_rows
 from parryac.words import GENERATION_CAP, CapExceededError, apply
 
 from conftest import (
@@ -237,7 +242,7 @@ def test_reference_cross_check(nonsimple31):
 def test_top_index(nonsimple31):
     # the top place N of n's greedy digits is the smallest N with n < U_{N+1}
     for n, top in ((0, 0), (3, 0), (4, 1), (163, 3), (164, 4)):
-        assert top_index(nonsimple31, n) == top
+        assert _top_rows(nonsimple31, n).top == top
         assert len(normal_u_rep(nonsimple31, n)) - 1 == top
 
 
@@ -246,7 +251,7 @@ def test_top_index(nonsimple31):
 def test_negative_n_is_rejected(m, n):
     # below and far past the row list's reach alike; an n of over 20 digits is shown by its size
     shown = {-10 ** 40: "<negative integer of about 41 digits>"}.get(n, str(n))
-    for function in (top_index, normal_u_rep, prefix_b_count, prefix_decomposition):
+    for function in (normal_u_rep, prefix_b_count, prefix_decomposition):
         with pytest.raises(ValueError, match=f"^n must be nonnegative, got {shown}$"):
             function(m, n)
 
@@ -294,8 +299,8 @@ def test_large_n_runs_in_a_few_megabytes(m):
 @pytest.mark.parametrize("m", BASELINE, ids=str)
 def test_one_top_window_per_call(m, monkeypatch):
     # past the s list a window comes by doubling; ac and ac_range take one for
-    # n's top and reach every other row they read from that one.  Each greedy
-    # pass builds its own chain of split windows once, apart from those.
+    # n's top and reach every other row they read from that one, upward.  Each
+    # greedy pass builds its own chain of split windows once, apart from those.
     window, splits, doublings, chains = numeration._window, numeration._splits, [], []
 
     def counted(plan, k):
@@ -322,6 +327,19 @@ def test_one_top_window_per_call(m, monkeypatch):
     # the public composition builds its own: three top windows by doubling
     # and two split chains, one pass each for |w_n|_B and |v_n|_B
     assert count(ac_via_prefix_counts, n) == (3, 2)
+    # so does each public one-n function: one window, read upward, and a
+    # chain for its pass; a read below the window or a top found from
+    # above would double again
+    assert count(normal_u_rep, n) == (1, 1)
+    assert count(prefix_b_count, n) == (1, 1)
+    if m.family is Family.NONSIMPLE:
+        assert count(choose_k_nonsimple, n) == (1, 0)
+        assert count(w_b_count_nonsimple, n, choose_k_nonsimple(m, n)) == (1, 1)
+    else:
+        stage_v, stage_w, _ = choose_mn_simple(m, n)
+        assert count(choose_mn_simple, n) == (1, 0)
+        assert count(v_b_count_simple, n, stage_v) == (1, 1)
+        assert count(w_b_count_simple, n, stage_w) == (1, 1)
 
 
 # --- the odometer ---------------------------------------------------------------------
@@ -417,7 +435,7 @@ def test_advance_moves_the_low_digits_or_declines(m):
         values += [u - 3, u, u + 5, 2 * u - 100, u + u24 - 50, u + u24 + 50]
     plan, advanced = _plan(m), 0
     for value in values:
-        rows = place_rows(m, top_index(m, value + 10 ** 4))
+        rows = _top_rows(m, value + 10 ** 4)
         (digits,), (weight,) = digit_lists(rows, (value,))
         for by in (0, 1, -1, 100, -100, 4096, -4096, 12345, -12345):
             if value + by < 0:
@@ -456,7 +474,7 @@ def _assert_certified(m, n):
 @pytest.mark.parametrize("m", CERTIFIED, ids=str)
 def test_place_rows_read_every_place_from_any_top(m):
     # rows at any top give every U_j and |phi^j(A)|_B: from the row list, above
-    # the window, a step down and far from the window alike
+    # the window, below it and far above it alike
     expected = [(a + b, b) for _, (a, b) in zip(range(700), ref_rows(m))]
     for top in (0, 126, 127, 128, 300, 600):
         rows = place_rows(m, top)
@@ -527,7 +545,7 @@ def test_digit_lists_and_b_weights_match_reference_sums(m):
         digits = rng.randrange(low, high + 1)
         x = rng.randrange(10 ** (digits - 1), 10 ** digits)
         y = rng.randrange(10 ** (digits // 3))
-        rows = place_rows(m, top_index(m, x))
+        rows = _top_rows(m, x)
         lists, weights = digit_lists(rows, (x, y))
         assert b_weights(rows, x, y) == tuple(weights)
         for value, found, weight in zip((x, y), lists, weights):
