@@ -246,6 +246,40 @@ def test_top_index(nonsimple31):
         assert len(normal_u_rep(nonsimple31, n)) - 1 == top
 
 
+@pytest.mark.parametrize("m", [
+    make_morphism(3, 1, "nonsimple"), make_morphism(2, 1, "nonsimple"),
+    make_morphism(10 ** 6, 1, "nonsimple"), make_morphism(10 ** 6, 10 ** 6 - 1, "nonsimple"),
+    make_morphism(3, 2, "simple"), make_morphism(5, 5, "simple"), make_morphism(2 ** 70, 3, "simple"),
+    make_morphism(4, 1, "simple"), make_morphism(1, 1, "simple"),
+], ids=str)
+def test_top_rows_search_only_upward(m, monkeypatch):
+    # n's top is searched from below its estimate, a few places at most, so its rows
+    # are never read below their window; around every place edge up to 20,000 bits
+    limit = int(20_000 / _plan(m).log2_beta)
+    places = [j for j in (*range(300), 500, 1000, 2000, 4000, 8000, 16000) if j < limit] + [limit]
+    cases = []
+    for j in places:
+        rows = place_rows(m, j + 1)
+        u, u_next = rows.u(j), rows.u(j + 1)
+        cases += [(u - 1, max(j - 1, 0))]  # n = 0 has top 0
+        cases += [(n, j) for n in (u, u + 1, (u + u_next) // 2, u_next - 1) if n < u_next]
+    starts = []
+
+    class Recorded(numeration.Rows):
+        __slots__ = ()
+
+        def __init__(self, plan, top, window=None):
+            starts.append(top)
+            super().__init__(plan, top, window)
+
+    monkeypatch.setattr(numeration, "Rows", Recorded)
+    for n, j in cases:
+        starts.clear()
+        top = _top_rows(m, n).top
+        assert top == j, (n, top, j)
+        assert starts[0] <= top <= starts[0] + 4, (n, starts[0], top)
+
+
 @pytest.mark.parametrize("m", BASELINE, ids=str)
 @pytest.mark.parametrize("n", [-1, -5, -10 ** 40])
 def test_negative_n_is_rejected(m, n):
