@@ -106,9 +106,9 @@ def _record(rows: Rows, stage: int) -> tuple:
 
 
 def _value_windows(spans: Iterable[tuple]) -> Iterator[list[int]]:
-    """AC(n) for the n of each span (rows, stage, first, last) of extremal._spans, by window.
+    """AC(n) for the n of each span (record, first, last) of extremal._spans, stage by _record.
 
-    Each span's _record gives AC(n) = base + sign W(x) - W(y), and n rises
+    Each record gives AC(n) = base + sign W(x) - W(y), and n rises
     monotonically, so the stage bracket is checked at first and last.  A
     span of one n takes the full pass alone.  A longer one is read in
     windows of at most _WINDOW n: W(x + 1) - W(x) is the letter u_x of the
@@ -120,8 +120,7 @@ def _value_windows(spans: Iterable[tuple]) -> Iterator[list[int]]:
     and then y is taken at the window's last n and W(y) at its first adds
     the slice's B's.
     """
-    for rows, stage, first, last in spans:
-        rows, low, high, base, sign, x0, y0 = _record(rows, stage)
+    for (rows, low, high, base, sign, x0, y0), first, last in spans:
         assert low <= first and last < high, (rows.m, first, last, low, high)
         plan, passed = rows._plan, None
         for start in range(first, last + 1, _WINDOW):
@@ -162,10 +161,11 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
         raise ValueError(f"ac_nonsimple requires a non-simple morphism, got {m.family.value}")
     n, k = _integer(n, "n"), None if k is None else _integer(k, "k", 0)
     rows, stage, _, _ = next(_spans(m, n, n))
-    if k is not None and n > (length := _w_stage_nonsimple(rows.at(k), k)[0]):
+    record = _record(rows, stage if k is None else k)  # high is |w^(k)| + 1
+    if k is not None and n >= record[2]:
         raise ValueError(f"k={_shown(k)} is inadmissible: n={_shown(n)} exceeds "
-                         f"|w^({_shown(k)})|={_shown(length)}")
-    return next(_value_windows(((rows, stage if k is None else k, n, n),)))[0]
+                         f"|w^({_shown(k)})|={_shown(record[2] - 1)}")
+    return next(_value_windows(((record, n, n),)))[0]
 
 
 def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[list[int]]]:
@@ -174,7 +174,8 @@ def _ac_values(m: Morphism, start: int, stop: int) -> tuple[str, Iterator[list[i
     if m.family is Family.SIMPLE and m.q == 1:
         sizes = (min(_WINDOW, stop + 1 - n) for n in range(start, stop + 1, _WINDOW))
         return METHOD_STURMIAN, ([2] * size for size in sizes)
-    return METHOD_CLOSED_FORM, _value_windows(_spans(m, start, stop))
+    spans = ((_record(rows, stage), first, last) for rows, stage, first, last in _spans(m, start, stop))
+    return METHOD_CLOSED_FORM, _value_windows(spans)
 
 
 def ac_range(m: Morphism, start: int, stop: int) -> Iterator[ACResult]:

@@ -33,9 +33,7 @@ c s_{i-1} s_{h-1} (c = d, or 1 + t + d in the simple family) gives
 f(m) is the length of phi^h of the length-m prefix, so m is the largest
 with f(m) <= x; the odometer steps the digits of its estimate x U_h /
 U_{2h} to it.  With U_h / U_{2h} by Newton's iteration, once per pass, a
-node costs O(1) products no larger than itself: O(M(L) log L) for L bits,
-were it not for the last split's one `//`, quadratic in CPython (16.1 s
-of 24.7 s at 10^6 digits).
+node costs O(1) products no larger than itself: O(M(L) log L) for L bits.
 
 Any fixed combination x_k of row k's entries obeys x_{k+2} = t x_{k+1} -
 d x_k.  Summed over k, that gives x_0 + ... + x_k = (x_0 + x_1 - t x_0 +
@@ -421,14 +419,19 @@ def _advance(plan: _Plan, digits: list[int], weight: int, by: int) -> tuple[list
 def _splits(plan: _Plan, top: int) -> list[tuple[int, ...]]:
     """(h, U_h, G, s_{h-1}, s_h - t s_{h-1}, S) for the splits h = 128 2^k <= top of one pass.
 
-    G = c s_{h-1}, and S is 2^(2b + 40) U_h / U_{2h}, b the bits of U_h (0 at the last split).
+    G = c s_{h-1} and S = 2^(2b + 40) U_h / U_{2h}, b the bits of U_h.  U_{2h} is the next window's,
+    or at the last split U_h^2 - c s_{h-1}^2 with both cut to 84 bits over its quotients' U_{top-h+2}.
     """
     windows = _windows(plan, top)
     units = [s0 + plan.simple * s1 for s0, s1 in windows]
-    scales = [u * _inverse(double, u.bit_length() + 40) >> double.bit_length() - u.bit_length()
-              for u, double in zip(units, units[1:])]
+    h, u, s1 = _LOW_PLACES << len(windows) - 1, units[-1], windows[-1][1]
+    cut = max(u.bit_length() - int((top - h + 2) * plan.log2_beta) - 84, 0)
+    u, s1 = u >> cut, s1 >> cut
+    pairs = [*zip(units, units[1:], repeat(0)), (u, u * u - plan.gap * s1 * s1, cut)]
+    scales = [u * _inverse(double, u.bit_length() + 40) >> double.bit_length() - u.bit_length() << cut
+              for u, double, cut in pairs]
     return [(_LOW_PLACES << k, u, plan.gap * s1, s1, s0 - plan.trace * s1, scale)
-            for k, ((s0, s1), u, scale) in enumerate(zip(windows, units, scales + [0]))]
+            for k, ((s0, s1), u, scale) in enumerate(zip(windows, units, scales))]
 
 
 def _windows(plan: _Plan, top: int) -> list[tuple[int, int]]:
@@ -449,16 +452,11 @@ def _inverse(a: int, bits: int) -> int:
     return y + (y * ((1 << 2 * bits) - a * y) >> 2 * bits)
 
 
-def _quotient(x: int, u: int, g: int, s1: int, scale: int) -> int:
-    """About x U_h / U_{2h} = x U_h / (U_h^2 - G s_{h-1}), the m with f(m) = x, to a unit or two.
-
-    Cut to 40 bits more than the quotient has, by S where the split has one.
-    """
+def _quotient(x: int, u: int, scale: int) -> int:
+    """About x U_h / U_{2h} = x S / 2^(2b + 40), the m with f(m) = x, to a unit or two, from x
+    and S cut to 40 bits more than the quotient has."""
     cut = max(u.bit_length() - max(x.bit_length() - u.bit_length(), 0) - 40, 0)
-    if scale:
-        return (x >> cut) * (scale >> cut) >> 2 * (u.bit_length() - cut) + 40
-    u >>= cut
-    return (x >> cut) * u // (u * u - (g >> cut) * (s1 >> cut))
+    return (x >> cut) * (scale >> cut) >> 2 * (u.bit_length() - cut) + 40
 
 
 def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tuple[int, list[int]]:
@@ -481,13 +479,13 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tup
         weight, digits = _greedy(plan, splits, x, h - 1)
         digits += repeat(0, top - h + 1)
         return weight, digits
-    m = max(_quotient(x, u, g, s1, scale), 0)
+    m = max(_quotient(x, u, scale), 0)
     weight, digits = _greedy(plan, splits, m, top - h + 1)  # with a spare place
     rest = x - m * u + g * weight
     if not 0 <= rest < u - g:  # the estimate may be off: step its digits to m
         digits.append(0)  # room for a scan past the top of a simple-family run
         # f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m)), and W moves by 0 or 1
-        jump = max(_quotient(rest, u, g, s1, scale), -m) if rest < 0 or rest >= u else 0
+        jump = max(_quotient(rest, u, scale), -m) if rest < 0 or rest >= u else 0
         assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few
         gain = sum(plan.up(digits) for _ in range(jump)) + sum(plan.down(digits) for _ in range(-jump))
         m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain

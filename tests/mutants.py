@@ -46,6 +46,7 @@ FAR_W = "tests/test_extremal.py::test_far_w_stages_nonsimple_equal_running_sums"
 _ROW_STEP = "  # n's high part steps\n                high, low, rows = high + 1, "
 _ROW_PART = "\n            k = min(len(values), "
 WINDOWS = "tests/test_numeration.py::test_one_top_window_per_call"
+NS31 = "[Morphism(p=3, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]"
 
 MUTANTS = (
     Mutant("stage-length-past-700", "src/parryac/extremal.py",
@@ -114,6 +115,13 @@ MUTANTS = (
            "k, lift = k + step, trace - 1",
            "k, lift = k, det",
            (WINDOWS,)),
+    # the last split's U_h and s_{h-1} cut to its quotients' bits with no margin
+    Mutant("last-split-scale-cut-to-the-quotient-bits", "src/parryac/numeration.py",
+           "int((top - h + 2) * plan.log2_beta) - 84, 0)",
+           "int((top - h + 2) * plan.log2_beta) - 0, 0)",
+           ("tests/test_numeration.py::test_odometer_steps_greedy_digits"
+            "[Morphism(p=2, q=2, family=<Family.SIMPLE: 'simple'>)]",
+            "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound" + NS31)),
 )
 
 #: Seconds before a pytest run counts as not killing its mutant.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from parryac import (
     Family,
     ac,
+    ac_nonsimple,
     ac_range,
     ac_via_prefix_counts,
     choose_k_nonsimple,
@@ -369,6 +370,8 @@ def test_one_top_window_per_call(m, monkeypatch):
     if m.family is Family.NONSIMPLE:
         assert count(choose_k_nonsimple, n) == (1, 0)
         assert count(w_b_count_nonsimple, n, choose_k_nonsimple(m, n)) == (1, 1)
+        # an explicit k far above n's top: one more window, k's, built once
+        assert count(ac_nonsimple, n, choose_k_nonsimple(m, n) + 300) == (2, 1)
     else:
         stage_v, stage_w, _ = choose_mn_simple(m, n)
         assert count(choose_mn_simple, n) == (1, 0)
@@ -595,6 +598,24 @@ def test_u_rep_value_of_long_non_normal_strings(m):
     for places in (128, 129, 256, 257, 301, 513, 700, 1300):
         digits = [rng.randrange(2 * m.p + 4) for _ in range(places)]
         assert u_rep_value(m, digits) == ref_digit_sums(m, digits)[0], places
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_last_split_estimates_within_the_jump_bound(m):
+    # the last split's scale is cut to the bits of its quotients, below
+    # U_{top-h+2}: tops just above a split place h, mid-way and just below 2h
+    plan, rng = _plan(m), random.Random(m.p % 991 * 17 + m.q)
+    for k in range(5):
+        h = 128 << k
+        for top in (h + 1, 3 * h // 2, 2 * h - 1):
+            last, u, _, _, _, scale = numeration._splits(plan, top)[-1]
+            assert last == h
+            rows, bound = place_rows(m, top), u_value(m, top + 1)
+            for x in (rng.randrange(bound), rng.randrange(bound), bound - 1):
+                (digits,), _ = digit_lists(rows, (x,))
+                error = abs(numeration._quotient(x, u, scale) - u_rep_value(m, digits[h:][::-1]))
+                assert error <= top - h + 1 + numeration._MAX_STEPS, (top, x)
+                assert error <= 2 or m not in BASELINE, (top, x)
 
 
 @pytest.mark.parametrize("offset, exact", [(-4, True), (4, True), (-12, False), (12, False)])
