@@ -46,6 +46,7 @@ FAR_W = "tests/test_extremal.py::test_far_w_stages_nonsimple_equal_running_sums"
 _ROW_STEP = "  # n's high part steps\n                high, low, rows = high + 1, "
 _ROW_PART = "\n            k = min(len(values), "
 WINDOWS = "tests/test_numeration.py::test_one_top_window_per_call"
+NUMERATION_DIGEST = "tests/test_values.py::test_numeration_digest"
 NS31 = "[Morphism(p=3, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]"
 
 MUTANTS = (
@@ -90,8 +91,8 @@ MUTANTS = (
            ("tests/test_complexity.py::test_ac_range_crosses_windows_inside_one_stage",
             "tests/test_cli.py::test_ac_range_output_is_the_whole_payload")),
     Mutant("advance-b-letter-bounded-by-u24", "src/parryac/numeration.py",
-           "size = plan.m.q * places[j - 1][0] if plan.simple else places[j + 1][0] - plan.m.p * places[j][0]",
-           "size = places[j][0]",
+           "else places[j + 1][0] - plan.m.p * places[j][0]",
+           "else places[j][0]",
            ("tests/test_numeration.py::test_advance_moves_the_low_digits_or_declines",)),
     Mutant("fixed-point-letter-10-flipped", "src/parryac/words.py",
            "return word_prefix(m, UBETA, length)",
@@ -122,6 +123,23 @@ MUTANTS = (
            ("tests/test_numeration.py::test_odometer_steps_greedy_digits"
             "[Morphism(p=2, q=2, family=<Family.SIMPLE: 'simple'>)]",
             "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound" + NS31)),
+    # a split's walk keeps the up-step that overshoots m
+    Mutant("walk-undo-dropped", "src/parryac/numeration.py",
+           "            plan.down(digits)\n            break",
+           "            break",
+           ("tests/test_numeration.py::test_odometer_steps_greedy_digits"
+            "[Morphism(p=3, q=2, family=<Family.SIMPLE: 'simple'>)]", NUMERATION_DIGEST)),
+    # a split's walk bounded by the spare steps alone, not m's places as well
+    Mutant("walk-bound-eight", "src/parryac/numeration.py",
+           "for _ in range(bound + 1):",
+           "for _ in range(_MAX_STEPS + 1):",
+           (NUMERATION_DIGEST, "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound"
+            "[Morphism(p=1000000, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]")),
+    # the same digits from estimates 3 high, by 3 more walk steps at every node
+    Mutant("split-estimate-three-high", "src/parryac/numeration.py",
+           "m = _quotient(x, u, scale)",
+           "m = _quotient(x, u, scale) + 3",
+           ("tests/test_numeration.py::test_split_walks_take_about_one_step_per_node",)),
 )
 
 #: Seconds before a pytest run counts as not killing its mutant.
