@@ -62,7 +62,7 @@ from .words import (GENERATION_CAP, A, B, CapExceededError, Family, Morphism, _c
 #: Rows j below this are kept per morphism; the greedy pass splits the
 #: places above it at _LOW_PLACES 2^k.
 _LOW_PLACES = 128
-#: Odometer steps that a split's correction walk may take beyond the places of its m.
+#: Single odometer steps that a split may take after its correction jump.
 _MAX_STEPS = 8
 #: Letter slices of at most this many letters are read by odometer steps.
 _LEAF_LETTERS = 8
@@ -450,8 +450,8 @@ def _inverse(a: int, bits: int) -> int:
 
 
 def _quotient(x: int, u: int, scale: int) -> int:
-    """About x U_h / U_{2h} = x S / 2^(2b + 40), the m with f(m) = x, to a unit or two, from x
-    >= U_h and S cut to 40 bits more than the quotient has; one call per split node."""
+    """About x U_h / U_{2h} = x S / 2^(2b + 40), the m with f(m) = x, to a unit or two, from
+    |x| >= U_h and S cut to 40 bits more than the quotient has."""
     cut = max(2 * u.bit_length() - x.bit_length() - 40, 0)
     return (x >> cut) * (scale >> cut) >> 2 * (u.bit_length() - cut) + 40
 
@@ -478,21 +478,26 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tup
         return weight, digits
     m = _quotient(x, u, scale)
     weight, digits = _greedy(plan, splits, m, top - h + 1)  # with a spare place
-    digits.append(0)  # room for a scan past the top of a simple-family run
-    rest, bound = x - m * u + g * weight, top - h + 1 + _MAX_STEPS  # m's places and a few
-    # the estimate may be off: step its digits to m, down while f(m) > x and up while
-    # f(m + 1) <= x; f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m)), and W moves by 0 or 1
-    for _ in range(bound + 1):
-        step = -1 if rest < 0 else 1 if rest >= u - g else 0
-        if not step:
-            break
-        gain = plan.down(digits) if step < 0 else plan.up(digits)
-        if step > 0 and rest < u - g * gain:  # f(m + 1) > x
-            plan.down(digits)
-            break
-        m, weight, rest = m + step, weight + gain, rest - step * u + g * gain
-    else:
-        raise AssertionError(f"{plan.m}: no split at place {h} within {bound} steps")
+    rest, width = x - m * u + g * weight, u - g  # f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m))
+    if not 0 <= rest < width:  # the estimate may be off: step its digits to m
+        digits.append(0)  # room for a scan past the top of a simple-family run
+        # far off, as by about half a unit per place of m on 20-bit places, jump by rest's own
+        # estimate: list-only steps and one update of rest; W moves by 0 or 1 a step
+        jump = max(_quotient(rest, u, scale), -m) if not -u <= rest < u else 0
+        assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few
+        gain = sum(plan.up(digits) for _ in range(jump)) + sum(plan.down(digits) for _ in range(-jump))
+        m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain
+        for _ in range(_MAX_STEPS + 1):  # down while f(m) > x, up while f(m + 1) <= x
+            step = -1 if rest < 0 else 1 if rest >= width else 0
+            if not step:
+                break
+            gain = plan.down(digits) if step < 0 else plan.up(digits)
+            if step > 0 and rest < u - g * gain:  # f(m + 1) > x
+                plan.down(digits)
+                break
+            m, weight, rest = m + step, weight + gain, rest - step * u + g * gain
+        else:
+            raise AssertionError(f"{plan.m}: no split at place {h} within {_MAX_STEPS} steps")
     assert not any(digits[top - h + 1:]), (plan.m, top)
     del digits[top - h + 1:]
     low_weight, low = _greedy(plan, splits, rest, h - 1)

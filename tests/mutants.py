@@ -123,23 +123,24 @@ MUTANTS = (
            ("tests/test_numeration.py::test_odometer_steps_greedy_digits"
             "[Morphism(p=2, q=2, family=<Family.SIMPLE: 'simple'>)]",
             "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound" + NS31)),
-    # a split's walk keeps the up-step that overshoots m
-    Mutant("walk-undo-dropped", "src/parryac/numeration.py",
-           "            plan.down(digits)\n            break",
-           "            break",
+    # a split's single step keeps the up-step that overshoots m
+    Mutant("step-undo-dropped", "src/parryac/numeration.py",
+           "                plan.down(digits)\n                break",
+           "                break",
            ("tests/test_numeration.py::test_odometer_steps_greedy_digits"
             "[Morphism(p=3, q=2, family=<Family.SIMPLE: 'simple'>)]", NUMERATION_DIGEST)),
-    # a split's walk bounded by the spare steps alone, not m's places as well
-    Mutant("walk-bound-eight", "src/parryac/numeration.py",
-           "for _ in range(bound + 1):",
-           "for _ in range(_MAX_STEPS + 1):",
-           (NUMERATION_DIGEST, "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound"
+    # a split's far estimate left to the eight single steps alone
+    Mutant("jump-dropped", "src/parryac/numeration.py",
+           "jump = max(_quotient(rest, u, scale), -m) if not -u <= rest < u else 0",
+           "jump = 0",
+           ("tests/test_numeration.py::test_split_jump_bound_is_m_places_and_eight[0-True-1]",
+            "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound"
             "[Morphism(p=1000000, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]")),
-    # the same digits from estimates 3 high, by 3 more walk steps at every node
+    # the same digits from estimates 3 high, by a jump of 3 list-only steps at every node
     Mutant("split-estimate-three-high", "src/parryac/numeration.py",
            "m = _quotient(x, u, scale)",
            "m = _quotient(x, u, scale) + 3",
-           ("tests/test_numeration.py::test_split_walks_take_about_one_step_per_node",)),
+           ("tests/test_numeration.py::test_split_corrections_take_about_one_step_per_node",)),
 )
 
 #: Seconds before a pytest run counts as not killing its mutant.

@@ -490,7 +490,7 @@ def test_advance_moves_the_low_digits_or_declines(m):
 
 #: The baseline three, two non-simple morphisms with d = p - q > 1 (one with
 #: places of about 20 bits, whose split estimates are off by about one unit
-#: per place of m, so that the correction walk takes many steps), a simple one
+#: per place of m, so that the correction jump does the work), a simple one
 #: whose every place spans more than 64 bits, and simple (1, 1), whose places
 #: span under one bit each.
 CERTIFIED = BASELINE + [make_morphism(7, 3, "nonsimple"), make_morphism(10 ** 6, 1, "nonsimple"),
@@ -618,25 +618,31 @@ def test_last_split_estimates_within_the_jump_bound(m):
                 assert error <= 2 or m not in BASELINE, (top, x)
 
 
-@pytest.mark.parametrize("offset", [-4, 4])
-def test_split_estimates_take_at_most_eight_steps(monkeypatch, offset):
-    # every split's estimate lands within a unit or two of m; the walk's eight
-    # steps beyond m's places absorb an error of 4 more at every node
+@pytest.mark.parametrize("offset, exact", [(-4, True), (4, True), (-12, False), (12, False)])
+def test_split_estimates_take_at_most_eight_steps(monkeypatch, offset, exact):
+    # a split's estimate and its correction jump land within a unit or two of
+    # m; eight single steps absorb an error of 4 more, and an error of 12 fails
+    # loudly instead of stepping on
     m = make_morphism(3, 1, "nonsimple")
     n = 7 * 10 ** 999 + 12345
     expected = normal_u_rep(m, n)
     quotient = numeration._quotient
     monkeypatch.setattr(numeration, "_quotient", lambda *args: quotient(*args) + offset)
     assert numeration._MAX_STEPS == 8
-    assert normal_u_rep(m, n) == expected
+    if exact:
+        assert normal_u_rep(m, n) == expected
+    else:
+        with pytest.raises(AssertionError, match="within 8 steps"):
+            normal_u_rep(m, n)
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
 @pytest.mark.parametrize("beyond, exact", [(0, True), (2 * numeration._MAX_STEPS, False)])
-def test_split_walk_bound_is_m_places_and_eight_steps(monkeypatch, sign, beyond, exact):
+def test_split_jump_bound_is_m_places_and_eight(monkeypatch, sign, beyond, exact):
     # the top node's estimate off by as many units as its m has places still
-    # gives the exact digits; twice the eight spare steps fail loudly instead
-    # of stepping on, even with every estimate a few units off as well
+    # gives the exact digits, by one jump; twice the eight spare units more
+    # fail the jump's bound loudly instead of stepping on, even with every
+    # estimate a few units off as well
     m = make_morphism(3, 1, "nonsimple")
     n = 7 * 10 ** 999 + 12345
     expected, top = normal_u_rep(m, n), _top_rows(m, n).top
@@ -646,16 +652,18 @@ def test_split_walk_bound_is_m_places_and_eight_steps(monkeypatch, sign, beyond,
     if exact:
         assert normal_u_rep(m, n) == expected
     else:
-        bound = top - h + 1 + numeration._MAX_STEPS
-        with pytest.raises(AssertionError, match=f"no split at place {h} within {bound} steps"):
+        with pytest.raises(AssertionError) as caught:
             normal_u_rep(m, n)
+        morphism, at_top, jump = caught.value.args[0]
+        assert (morphism, at_top) == (m, top) and abs(jump) > top - h + 1 + numeration._MAX_STEPS, jump
 
 
 @pytest.mark.parametrize("m", BASELINE, ids=str)
-def test_split_walks_take_about_one_step_per_node(monkeypatch, m):
+def test_split_corrections_take_about_one_step_per_node(monkeypatch, m):
     # every split node's estimate is within a unit or two of its m, so one
     # pass's odometer calls stay near one per node; an estimate 3 off at
-    # every node still gives the right digits, and only this count shows it
+    # every node still gives the right digits, by a jump of 3 list-only
+    # steps, and only this count shows it
     odometer, calls = numeration._Plan, {"steps": 0, "nodes": 0}
     up, down, greedy = odometer.up, odometer.down, numeration._greedy
 
