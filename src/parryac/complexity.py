@@ -133,9 +133,9 @@ def _value_windows(spans: Iterable[tuple]) -> Iterator[list[int]]:
                 passed = passed and [_advance(plan, *pair, now - then)
                                      for pair, now, then in zip(passed, at, was)]
                 if not passed or None in passed:
-                    passed = list(zip(*digit_lists(rows, at)))
+                    passed = digit_lists(rows, at)
                 was = at
-                (digits_x, weight_x), (digits_y, weight_y) = passed
+                (weight_x, digits_x), (weight_y, digits_y) = passed
                 letters_y = _letters(plan, digits_y, 0, steps)
                 bits_x = _letters(plan, digits_x, 0, steps).encode().translate(_BITS)
                 bits_y = letters_y.encode().translate(_BITS)
@@ -162,7 +162,7 @@ def ac_nonsimple(m: Morphism, n: int, k: int | None = None) -> int:
     n, k = _integer(n, "n"), None if k is None else _integer(k, "k", 0)
     rows, stage, _, _ = next(_spans(m, n, n))
     record = _record(rows, stage if k is None else k)  # high is |w^(k)| + 1
-    if k is not None and n >= record[2]:
+    if n >= record[2]:
         raise ValueError(f"k={_shown(k)} is inadmissible: n={_shown(n)} exceeds "
                          f"|w^({_shown(k)})|={_shown(record[2] - 1)}")
     return next(_value_windows(((record, n, n),)))[0]

@@ -16,7 +16,6 @@ from typing import Iterator
 
 from .numeration import Rows, _top_rows, b_weights, place_rows
 from .words import (
-    B,
     Family,
     Morphism,
     UnsupportedConstructionError,

@@ -113,11 +113,7 @@ class _Plan:
         digit of the result.
         """
         p, second = self.star
-        first = digits[0]
-        if first != p and first != second:  # no run of d*'s letters: i* = 0
-            digits[0] = first + 1
-            return 0
-        i = 0
+        first, i = digits[0], 0
         if self.simple:
             # the run from place 0 that alternates p and q - 1, cut to end in p
             letter, after = (p, second) if first == p else (second, p)
@@ -177,7 +173,7 @@ def _window(plan: _Plan, k: int) -> tuple[int, int]:
     """(s_k, s_{k-1}) for k >= 0, by doubling from a window of the s list."""
     if k + 1 < len(plan.s):
         return plan.s[k + 1], plan.s[k]
-    shift = k.bit_length() - 7
+    shift = k.bit_length() - _LOW_PLACES.bit_length() + 1
     s, s1 = _window(plan, k >> shift)
     for bit in range(shift - 1, -1, -1):
         s, s1 = _double(plan, s, s1, k >> bit & 1)
@@ -210,7 +206,7 @@ class Rows:
 
     def at(self, j: int) -> Rows:
         """The rows at top j, from this window: by products above it, by doubling below."""
-        return Rows(self._plan, j, self.window(j) if j >= _LOW_PLACES else None)
+        return Rows(self._plan, j, self.window(j))
 
     def place(self, j: int) -> tuple[int, int]:
         """(U_j, |phi^j(A)|_B)."""
@@ -265,7 +261,7 @@ def _top_rows(m: Morphism, n: int) -> Rows:
         top -= 1
     while rows.u(top + 1) <= n:
         top += 1
-    return rows if top == rows.top else rows.at(top)
+    return rows.at(top)
 
 
 def u_value(m: Morphism, k: int) -> int:
@@ -314,20 +310,19 @@ def normal_u_rep(m: Morphism, n: int, min_places: int | None = None) -> tuple[in
     if min_places > GENERATION_CAP:
         raise CapExceededError(f"requested {_shown(min_places)} places, generation cap is {GENERATION_CAP}")
     rows = _top_rows(m, n)
-    (digits,), _ = digit_lists(rows, (n,))
+    ((_, digits),) = digit_lists(rows, (n,))
     digits += repeat(0, min_places - 1 - rows.top)
     return tuple(reversed(digits))
 
 
-def digit_lists(rows: Rows, values: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    """Each value's greedy digits over places 0 .. rows.top and its b_weights sum, from one pass.
+def digit_lists(rows: Rows, values: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Each value's (W, greedy digits over places 0 .. rows.top) pair, as one pass built it.
 
-    The values must be below U_{top+1}.  The lists are those the pass built, least significant
+    The values must be below U_{top+1}.  W is the b_weights sum.  The lists are least significant
     first like every digit list here; only normal_u_rep's output and u_rep_value's input are not.
     """
     splits = _splits(rows._plan, rows.top) if rows.top >= _LOW_PLACES else []
-    passes = [_greedy(rows._plan, splits, value, rows.top) for value in values]
-    return [digits for _, digits in passes], [weight for weight, _ in passes]
+    return [_greedy(rows._plan, splits, value, rows.top) for value in values]
 
 
 def u_rep_value(m: Morphism, digits: Sequence[int]) -> int:
@@ -388,8 +383,8 @@ def _letters(plan: _Plan, digits: list[int], start: int, length: int) -> str:
     return _image_prefix(source[1:], _cut_images(m, length), length - len(head), head)[:length]
 
 
-def _advance(plan: _Plan, digits: list[int], weight: int, by: int) -> tuple[list[int], int] | None:
-    """The greedy digits and b_weights sum of value + by, from the value's, or None on a carry at j.
+def _advance(plan: _Plan, weight: int, digits: list[int], by: int) -> tuple[int, list[int]] | None:
+    """The (W, digits) pair of value + by, from the value's as digit_lists gives it, or None on a carry.
 
     With j = _ADVANCE_PLACES, a the value of digits[j:] and r that of
     digits[:j], the value is |phi^j(u[:a])| + r with r < |phi^j(u_a)|.  While
@@ -408,7 +403,7 @@ def _advance(plan: _Plan, digits: list[int], weight: int, by: int) -> tuple[list
     if not 0 <= low < size:
         return None
     moved_weight, moved = _greedy(plan, [], low, j - 1)
-    return moved + digits[j:], weight - low_weight + moved_weight
+    return weight - low_weight + moved_weight, moved + digits[j:]
 
 
 # --- the split recursion above the row list --------------------------------------

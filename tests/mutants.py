@@ -48,6 +48,13 @@ _ROW_PART = "\n            k = min(len(values), "
 WINDOWS = "tests/test_numeration.py::test_one_top_window_per_call"
 NUMERATION_DIGEST = "tests/test_values.py::test_numeration_digest"
 NS31 = "[Morphism(p=3, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]"
+WIDE = "[Morphism(p=1000000, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]"
+#: numeration._greedy's split correction, from its jump to the single steps' loop.
+_CORRECTION = ("jump = max(_quotient(rest, u, scale), -m) if not -u <= rest < u else 0\n"
+               "        assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few\n"
+               "        gain = sum(plan.up(digits) for _ in range(jump)) + sum(plan.down(digits) for _ in range(-jump))\n"
+               "        m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain\n"
+               "        for _ in range(_MAX_STEPS + 1):")
 
 MUTANTS = (
     Mutant("stage-length-past-700", "src/parryac/extremal.py",
@@ -136,6 +143,12 @@ MUTANTS = (
            ("tests/test_numeration.py::test_split_jump_bound_is_m_places_and_eight[0-True-1]",
             "tests/test_numeration.py::test_last_split_estimates_within_the_jump_bound"
             "[Morphism(p=1000000, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]")),
+    # the same digits with no jump, by a walk of single steps bounded by m's places and eight
+    Mutant("walk-replaces-jump", "src/parryac/numeration.py",
+           _CORRECTION,
+           _CORRECTION.replace(_CORRECTION.split("\n")[0], "jump = 0")
+           .replace("range(_MAX_STEPS + 1)", "range(top - h + 1 + _MAX_STEPS + 1)"),
+           ("tests/test_numeration.py::test_split_corrections_take_about_one_step_per_node" + WIDE,)),
     # the same digits from estimates 3 high, by a jump of 3 list-only steps at every node
     Mutant("split-estimate-three-high", "src/parryac/numeration.py",
            "m = _quotient(x, u, scale)",

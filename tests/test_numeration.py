@@ -473,14 +473,14 @@ def test_advance_moves_the_low_digits_or_declines(m):
     plan, advanced = _plan(m), 0
     for value in values:
         rows = _top_rows(m, value + 10 ** 4)
-        (digits,), (weight,) = digit_lists(rows, (value,))
+        ((weight, digits),) = digit_lists(rows, (value,))
         for by in (0, 1, -1, 100, -100, 4096, -4096, 12345, -12345):
             if value + by < 0:
                 continue
-            (expected,), (expected_weight,) = digit_lists(rows, (value + by,))
-            got = numeration._advance(plan, digits, weight, by)
+            ((expected_weight, expected),) = digit_lists(rows, (value + by,))
+            got = numeration._advance(plan, weight, digits, by)
             if len(digits) > 24 and digits[24:] == expected[24:]:
-                assert got == (expected, expected_weight), (value, by)
+                assert got == (expected_weight, expected), (value, by)
                 advanced += 1
             else:
                 assert got is None, (value, by)
@@ -583,9 +583,9 @@ def test_digit_lists_and_b_weights_match_reference_sums(m):
         x = rng.randrange(10 ** (digits - 1), 10 ** digits)
         y = rng.randrange(10 ** (digits // 3))
         rows = _top_rows(m, x)
-        lists, weights = digit_lists(rows, (x, y))
-        assert b_weights(rows, x, y) == tuple(weights)
-        for value, found, weight in zip((x, y), lists, weights):
+        passes = digit_lists(rows, (x, y))
+        assert b_weights(rows, x, y) == tuple(weight for weight, _ in passes)
+        for value, (weight, found) in zip((x, y), passes):
             assert len(found) == rows.top + 1
             assert ref_digit_sums(m, found[::-1]) == (value, weight), digits
 
@@ -612,7 +612,7 @@ def test_last_split_estimates_within_the_jump_bound(m):
             assert last == h
             rows, bound = place_rows(m, top), u_value(m, top + 1)
             for x in (rng.randrange(bound), rng.randrange(bound), bound - 1):
-                (digits,), _ = digit_lists(rows, (x,))
+                ((_, digits),) = digit_lists(rows, (x,))
                 error = abs(numeration._quotient(x, u, scale) - u_rep_value(m, digits[h:][::-1]))
                 assert error <= top - h + 1 + numeration._MAX_STEPS, (top, x)
                 assert error <= 2 or m not in BASELINE, (top, x)
@@ -658,18 +658,21 @@ def test_split_jump_bound_is_m_places_and_eight(monkeypatch, sign, beyond, exact
         assert (morphism, at_top) == (m, top) and abs(jump) > top - h + 1 + numeration._MAX_STEPS, jump
 
 
-@pytest.mark.parametrize("m", BASELINE, ids=str)
+@pytest.mark.parametrize("m", BASELINE + [make_morphism(10 ** 6, 1, "nonsimple")], ids=str)
 def test_split_corrections_take_about_one_step_per_node(monkeypatch, m):
-    # every split node's estimate is within a unit or two of its m, so one
-    # pass's odometer calls stay near one per node; an estimate 3 off at
-    # every node still gives the right digits, by a jump of 3 list-only
-    # steps, and only this count shows it
-    odometer, calls = numeration._Plan, {"steps": 0, "nodes": 0}
+    # every baseline split node's estimate is within a unit or two of its m,
+    # so one pass's odometer calls stay near one per node; an estimate 3 off
+    # at every node still gives the right digits, by a jump of 3 list-only
+    # steps, and only this count shows it.  Non-simple (10^6, 1)'s estimates
+    # are off by tens of units on random n: the jump takes those in list-only
+    # steps, from its generator, and leaves a step or two from _greedy's own
+    # frame, each of which updates rest by a U_h-sized product
+    odometer, calls = numeration._Plan, {"single": 0, "listed": 0, "nodes": 0}
     up, down, greedy = odometer.up, odometer.down, numeration._greedy
 
     def counted(step):
         def call(self, digits):
-            calls["steps"] += 1
+            calls["single" if sys._getframe(1).f_code.co_name == "_greedy" else "listed"] += 1
             return step(self, digits)
         return call
 
@@ -681,11 +684,17 @@ def test_split_corrections_take_about_one_step_per_node(monkeypatch, m):
     monkeypatch.setattr(odometer, "down", counted(down))
     monkeypatch.setattr(numeration, "_greedy", node)
     rng = random.Random(m.p * 10 + m.q)
-    for digits in (2000, 10 ** 4):
+    # (10^6, 1)'s 20-bit places give it a split node per 400 digits or so
+    for digits in (2000, 10 ** 4) if m in BASELINE else (3 * 10 ** 4, 6 * 10 ** 4):
         n = rng.randrange(10 ** (digits - 1), 10 ** digits)
-        calls.update(steps=0, nodes=0)
+        calls.update(single=0, listed=0, nodes=0)
         digit_lists(_top_rows(m, n), (n,))
-        assert calls["nodes"] > 30 and calls["steps"] <= 1.5 * calls["nodes"], (digits, calls)
+        single, listed, nodes = calls["single"], calls["listed"], calls["nodes"]
+        assert nodes > 30, (digits, calls)
+        if m in BASELINE:
+            assert single + listed <= 1.5 * nodes, (digits, calls)
+        else:
+            assert single <= 2 * nodes and listed >= 10 * nodes, (digits, calls)
 
 
 @pytest.mark.parametrize("m", BASELINE, ids=str)
@@ -704,7 +713,7 @@ def test_values_below_a_split_take_the_lower_half_alone(monkeypatch, m):
     monkeypatch.setattr(numeration, "_greedy", counted)
     assert b_weights(rows, 5) == (expected, 0)
     assert splits == 4 and len(calls) <= 2 * (splits + 1), calls
-    (digits,), _ = digit_lists(rows, (5,))
+    ((_, digits),) = digit_lists(rows, (5,))
     low = normal_u_rep(m, 5)[::-1]
     assert digits == [*low, *[0] * (rows.top + 1 - len(low))]
 

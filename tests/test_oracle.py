@@ -287,6 +287,21 @@ def test_oracle_never_consults_closed_form_modules():
     assert package_imports == {".words"}
 
 
+def test_package_modules_use_every_name_they_import():
+    # no linter runs here, so an unused import fails this test; __init__.py's
+    # imports are the package's re-exports, and annotations is a future flag
+    unused = {}
+    for source in sorted((Path(__file__).resolve().parents[1] / "src" / "parryac").glob("*.py")):
+        if source.name == "__init__.py":
+            continue
+        tree = ast.parse(source.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused[source.name] = sorted(imported - used - {"annotations"})
+    assert not any(unused.values()), unused
+
+
 def test_window_scan_counts_directly(nonsimple31):
     # cumulative scan equals counting each window independently
     text = fixed_point_prefix(nonsimple31, 200)
