@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="image of B is A^q (simple) or A^q B (non-simple)")
     common.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
 
-    parser = _Parser(prog="parryac",
+    parser = _Parser(prog="parryac", fromfile_prefix_chars="@",
                      description="Abelian complexity of quadratic Parry fixed points")
     sub = parser.add_subparsers(dest="command", required=True)
 

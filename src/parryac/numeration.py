@@ -15,11 +15,11 @@ One sequence gives both columns of the rows.  With t and d the trace and
 determinant of M (p + 1 and p - q in the non-simple family, p and -q in
 the simple one), let s_{-1} = 0, s_0 = 1 and s_{j+1} = t s_j - d s_{j-1}.
 Then |phi^j(A)|_B = s_{j-1}, and U_j = s_j (non-simple) or s_j + s_{j-1}
-(simple), so the window (s_j, s_{j-1}) holds row j.  A window comes from
-2x2 matrix powering, by doubling in O(log j) products, and gives row
-j + i, i <= 128, as s_{j+i} = s_i s_j - d s_{i-1} s_{j-1}: rows are read
-upward only.  Each morphism keeps one plan, built whole, with the rows
-j < 128: they cover every n below about 2^88 and end every pass.
+(simple), so the window (s_j, s_{j-1}) holds row j.  Windows multiply,
+s_{i+j} = s_i s_j - d s_{i-1} s_{j-1}, in three products (`_times`): by
+doubling in O(log j) of them, and row j + i, i <= 128, in one, upward
+only.  Each morphism keeps one plan, built whole, with the rows j < 128:
+they cover every n below about 2^88 and end every pass.
 
 Above the list, the greedy pass (`digit_lists`; `b_weights` drops the
 digits) splits the places at the largest h = 128 2^k below the top and
@@ -73,14 +73,12 @@ _ADVANCE_PLACES = 24
 class _Plan:
     """One morphism's recurrence and its rows j < 128.
 
-    s holds s_{-1}, s_0, ..., s_128 and q_coef Q_{-1} = 1, Q_i = -d s_{i-1},
-    at index i + 1: a window (s_k, s_{k-1}) gives s_{k+i} = s_i s_k + Q_i
-    s_{k-1}.  places holds (U_j, |phi^j(A)|_B) for j < 128.  gap is c in
-    U_{i+h} = U_i U_h - c s_{i-1} s_{h-1}.
+    s holds s_{-1}, s_0, ..., s_128, s_i at index i + 1.  places holds
+    (U_j, |phi^j(A)|_B) for j < 128.  gap is c in U_{i+h} = U_i U_h - c
+    s_{i-1} s_{h-1}.
     """
 
-    __slots__ = ("m", "simple", "trace", "det", "steps", "log2_beta", "s", "q_coef", "places",
-                 "gap", "star")
+    __slots__ = ("m", "simple", "trace", "det", "steps", "log2_beta", "s", "places", "gap", "star")
 
     def __init__(self, m: Morphism):
         self.m = m
@@ -91,7 +89,7 @@ class _Plan:
         s = [0, 1]  # s_{-1}, s_0, ...
         while len(s) < _LOW_PLACES + 2:
             s.append(trace * s[-1] - det * s[-2])
-        self.s, self.q_coef = s, [1, *(-det * s_i for s_i in s[:-1])]  # Q_{-1}, Q_0, ...
+        self.s = s
         self.places = [(s[j + 1] + simple * s[j], s[j]) for j in range(_LOW_PLACES)]
         self.gap = 1 + trace + det if simple else det
         self.star = m.p, m.q - simple  # the first two letters of d*, for the odometer
@@ -159,14 +157,12 @@ class _Plan:
 _plan = lru_cache(maxsize=None)(_Plan)
 
 
-def _double(plan: _Plan, s: int, s1: int, bit: int) -> tuple[int, int]:
-    """(s_{2j+bit}, s_{2j+bit-1}) from the window (s_j, s_{j-1})."""
-    # s_{2j} = s_j^2 - d s_{j-1}^2, s_{2j+1} = s_j (t s_j - 2d s_{j-1})
-    # and s_{2j-1} = s_{j-1} (2 s_j - t s_{j-1})
-    even = s * s - plan.det * (s1 * s1)
-    if bit:
-        return s * (plan.trace * s - 2 * plan.det * s1), even
-    return even, s1 * (2 * s - plan.trace * s1)
+def _times(plan: _Plan, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(x_{i+j}, x_{i+j-1}) from a = (x_i, x_{i-1}), x any solution of the recurrence, and the
+    window b = (s_j, s_{j-1}): x_{i+j} = x_i s_j - d x_{i-1} s_{j-1}, in three products as
+    x_{i+j-1} = x_i s_{j-1} + x_{i-1} s_j - t x_{i-1} s_{j-1}."""
+    high, low = a[0] * b[0], a[1] * b[1]
+    return high - plan.det * low, (a[0] + a[1]) * (b[0] + b[1]) - high - (1 + plan.trace) * low
 
 
 def _window(plan: _Plan, k: int) -> tuple[int, int]:
@@ -176,7 +172,9 @@ def _window(plan: _Plan, k: int) -> tuple[int, int]:
     shift = k.bit_length() - _LOW_PLACES.bit_length() + 1
     s, s1 = _window(plan, k >> shift)
     for bit in range(shift - 1, -1, -1):
-        s, s1 = _double(plan, s, s1, k >> bit & 1)
+        s, s1 = _times(plan, (s, s1), (s, s1))
+        if k >> bit & 1:
+            s, s1 = plan.trace * s - plan.det * s1, s
     return s, s1
 
 
@@ -184,24 +182,23 @@ class Rows:
     """The rows (1, 0) M^j of one morphism, read upward from one window at place `top`.
 
     Rows j < 128 come from the plan, the others from the window (s_top,
-    s_{top-1}): up to 128 places above it as s_{top+i} = s_i s_top + Q_i
-    s_{top-1}, any other by doubling.  `at` moves up the same way, so a
-    walk over stages pays for one window by doubling.
+    s_{top-1}): up to 128 places above it by `_times` with (s_i, s_{i-1}),
+    any other by doubling.  `at` moves up the same way, so a walk over
+    stages pays for one window by doubling.
     """
 
-    __slots__ = ("m", "top", "_plan", "_s_top", "_s_prev")
+    __slots__ = ("m", "top", "_plan", "_top_window")
 
     def __init__(self, plan: _Plan, top: int, window: tuple[int, int] | None = None):
         self.m, self.top, self._plan = plan.m, top, plan
-        self._s_top, self._s_prev = window or _window(plan, top)
+        self._top_window = window or _window(plan, top)
 
     def window(self, j: int) -> tuple[int, int]:
         """(s_j, s_{j-1}), for j >= 0."""
         plan = self._plan
         i = j - self.top
         if 0 <= i < len(plan.s) - 1:
-            s, q_coef, s_top, s_prev = plan.s, plan.q_coef, self._s_top, self._s_prev
-            return s[i + 1] * s_top + q_coef[i + 1] * s_prev, s[i] * s_top + q_coef[i] * s_prev
+            return _times(plan, (plan.s[i + 1], plan.s[i]), self._top_window)
         return _window(plan, j)  # below or far above the window, as for an explicit k in ac_nonsimple
 
     def at(self, j: int) -> Rows:
@@ -408,8 +405,8 @@ def _advance(plan: _Plan, weight: int, digits: list[int], by: int) -> tuple[int,
 
 # --- the split recursion above the row list --------------------------------------
 
-def _splits(plan: _Plan, top: int) -> list[tuple[int, ...]]:
-    """(h, U_h, G, s_{h-1}, s_h - t s_{h-1}, S) for the splits h = 128 2^k <= top of one pass.
+def _splits(plan: _Plan, top: int) -> list[tuple]:
+    """(h, U_h, G, (s_h, s_{h-1}), S) for the splits h = 128 2^k <= top of one pass.
 
     G = c s_{h-1} and S = 2^(2b + 40) U_h / U_{2h}, b the bits of U_h.  U_{2h} is the next window's,
     or at the last split U_h^2 - c s_{h-1}^2 with both cut to 84 bits over its quotients' U_{top-h+2}.
@@ -422,15 +419,15 @@ def _splits(plan: _Plan, top: int) -> list[tuple[int, ...]]:
     pairs = [*zip(units, units[1:], repeat(0)), (u, u * u - plan.gap * s1 * s1, cut)]
     scales = [u * _inverse(double, u.bit_length() + 40) >> double.bit_length() - u.bit_length() << cut
               for u, double, cut in pairs]
-    return [(_LOW_PLACES << k, u, plan.gap * s1, s1, s0 - plan.trace * s1, scale)
-            for k, ((s0, s1), u, scale) in enumerate(zip(windows, units, scales))]
+    return [(_LOW_PLACES << k, u, plan.gap * window[1], window, scale)
+            for k, (window, u, scale) in enumerate(zip(windows, units, scales))]
 
 
 def _windows(plan: _Plan, top: int) -> list[tuple[int, int]]:
     """(s_h, s_{h-1}) for h = 128 2^k <= top, by one doubling each from the s list."""
     windows = [(plan.s[_LOW_PLACES + 1], plan.s[_LOW_PLACES])]
     while _LOW_PLACES << len(windows) <= top:
-        windows.append(_double(plan, *windows[-1], 0))
+        windows.append(_times(plan, windows[-1], windows[-1]))
     return windows
 
 
@@ -451,7 +448,7 @@ def _quotient(x: int, u: int, scale: int) -> int:
     return (x >> cut) * (scale >> cut) >> 2 * (u.bit_length() - cut) + 40
 
 
-def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tuple[int, list[int]]:
+def _greedy(plan: _Plan, splits: list[tuple], x: int, top: int) -> tuple[int, list[int]]:
     """The W of x < U_{top+1} and its digits over places 0 .. top, least significant first.
 
     A leaf reverses its top-first divisions once.  A split node steps its
@@ -466,14 +463,16 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tup
         digits.reverse()
         return weight, digits
     # x's digits at places >= h, the largest split <= top, are those of m, the largest f(m) <= x
-    h, u, g, s1, lag, scale = splits[(top // _LOW_PLACES).bit_length() - 1]
+    h, u, g, window, scale = splits[(top // _LOW_PLACES).bit_length() - 1]
     if x < u:  # m = 0: only the lower half has digits
         weight, digits = _greedy(plan, splits, x, h - 1)
         digits += repeat(0, top - h + 1)
         return weight, digits
     m = _quotient(x, u, scale)
     weight, digits = _greedy(plan, splits, m, top - h + 1)  # with a spare place
-    rest, width = x - m * u + g * weight, u - g  # f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m))
+    # u[:m] as a window (m - simple W, W): phi^h(u[:m]) has count B's, size + simple count letters
+    size, count = _times(plan, (m - plan.simple * weight, weight), window)
+    rest, width = x - size - plan.simple * count, u - g  # f(m + 1) - f(m) = U_h - G (W(m + 1) - W(m))
     if not 0 <= rest < width:  # the estimate may be off: step its digits to m
         digits.append(0)  # room for a scan past the top of a simple-family run
         # far off, as by about half a unit per place of m on 20-bit places, jump by rest's own
@@ -481,7 +480,7 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tup
         jump = max(_quotient(rest, u, scale), -m) if not -u <= rest < u else 0
         assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few
         gain = sum(plan.up(digits) for _ in range(jump)) + sum(plan.down(digits) for _ in range(-jump))
-        m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain
+        moved, gained, rest = jump, gain, rest - jump * u + g * gain
         for _ in range(_MAX_STEPS + 1):  # down while f(m) > x, up while f(m + 1) <= x
             step = -1 if rest < 0 else 1 if rest >= width else 0
             if not step:
@@ -490,14 +489,15 @@ def _greedy(plan: _Plan, splits: list[tuple[int, ...]], x: int, top: int) -> tup
             if step > 0 and rest < u - g * gain:  # f(m + 1) > x
                 plan.down(digits)
                 break
-            m, weight, rest = m + step, weight + gain, rest - step * u + g * gain
+            moved, gained, rest = moved + step, gained + gain, rest - step * u + g * gain
         else:
             raise AssertionError(f"{plan.m}: no split at place {h} within {_MAX_STEPS} steps")
+        count += _times(plan, (moved - plan.simple * gained, gained), window)[1]  # their B's
     assert not any(digits[top - h + 1:]), (plan.m, top)
     del digits[top - h + 1:]
     low_weight, low = _greedy(plan, splits, rest, h - 1)
     low += digits
-    return s1 * (m - plan.simple * weight) + lag * weight + low_weight, low
+    return count + low_weight, low
 
 
 def _columns(plan: _Plan, windows: list[tuple[int, int]], digits: Sequence[int],
@@ -508,8 +508,7 @@ def _columns(plan: _Plan, windows: list[tuple[int, int]], digits: Sequence[int],
         low = digits[start:stop]
         return sum(map(mul, low, islice(plan.s, 1, None))), sum(map(mul, low, plan.s))
     k = (top // _LOW_PLACES).bit_length() - 1
-    (s0, s1), h = windows[k], _LOW_PLACES << k
-    high, weight = _columns(plan, windows, digits, start + h, stop)
+    h = _LOW_PLACES << k
+    high, weight = _times(plan, _columns(plan, windows, digits, start + h, stop), windows[k])
     rest_high, rest_weight = _columns(plan, windows, digits, start, start + h)
-    return (s0 * high - plan.det * s1 * weight + rest_high,
-            s1 * high + (s0 - plan.trace * s1) * weight + rest_weight)
+    return high + rest_high, weight + rest_weight

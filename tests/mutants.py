@@ -53,7 +53,7 @@ WIDE = "[Morphism(p=1000000, q=1, family=<Family.NONSIMPLE: 'nonsimple'>)]"
 _CORRECTION = ("jump = max(_quotient(rest, u, scale), -m) if not -u <= rest < u else 0\n"
                "        assert abs(jump) <= top - h + 1 + _MAX_STEPS, (plan.m, top, jump)  # m's places + a few\n"
                "        gain = sum(plan.up(digits) for _ in range(jump)) + sum(plan.down(digits) for _ in range(-jump))\n"
-               "        m, weight, rest = m + jump, weight + gain, rest - jump * u + g * gain\n"
+               "        moved, gained, rest = jump, gain, rest - jump * u + g * gain\n"
                "        for _ in range(_MAX_STEPS + 1):")
 
 MUTANTS = (
@@ -154,6 +154,16 @@ MUTANTS = (
            "m = _quotient(x, u, scale)",
            "m = _quotient(x, u, scale) + 3",
            ("tests/test_numeration.py::test_split_corrections_take_about_one_step_per_node",)),
+    # a window product whose second entry drops P2 from the cross term
+    Mutant("times-cross-term", "src/parryac/numeration.py",
+           "(1 + plan.trace) * low",
+           "plan.trace * low",
+           ("tests/test_numeration.py::test_times_shifts_one_window_by_another", NUMERATION_DIGEST)),
+    # a non-simple base one high at p = 13 alone, past the p <= 12 and large-p oracle checks
+    Mutant("nonsimple-base-at-p-13", "src/parryac/complexity.py",
+           "length + 1, 1 + count, -1, 0, complement",
+           "length + 1, 1 + count + (rows.m.p == 13), -1, 0, complement",
+           ("tests/test_oracle.py::test_ac_range_equals_the_level_walk_up_to_p40",)),
 )
 
 #: Seconds before a pytest run counts as not killing its mutant.

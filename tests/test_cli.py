@@ -549,6 +549,24 @@ def test_module_entry_point_exits_with_main_code():
         assert (result.returncode, result.stdout) == (code, out), result.stderr
 
 
+def test_ac_reads_arguments_past_the_argv_limit_from_a_file(tmp_path, nonsimple31):
+    # Linux stops one argv string at 131,071 characters, so only a child process
+    # shows it; "@file" reads the arguments from the file's lines instead.  A
+    # missing file and a malformed n in one are usage errors
+    digits = "7" + "0" * 139_994 + "12345"
+    for name, text in (("n.txt", f"--n\n{digits}\n"), ("bad.txt", "--n\nabc\n")):
+        (tmp_path / name).write_text(text)
+    result = _python("-m", "parryac.cli", "ac", *NS31, f"@{tmp_path / 'n.txt'}")
+    assert result.returncode == EX_OK, result.stderr[:200]
+    assert result.stdout == f"{digits} {ac(nonsimple31, _parsed(digits)).value} closed_form\n"
+    missing = _python("-m", "parryac.cli", "ac", *NS31, f"@{tmp_path / 'missing.txt'}")
+    assert (missing.returncode, missing.stdout) == (EX_USAGE, "")
+    assert missing.stderr.startswith("usage error: [Errno 2] "), missing.stderr
+    bad = _python("-m", "parryac.cli", "ac", *NS31, f"@{tmp_path / 'bad.txt'}")
+    assert (bad.returncode, bad.stdout) == (EX_USAGE, "")
+    assert "not a decimal integer: 'abc'" in bad.stderr, bad.stderr
+
+
 # --- usage and validation -------------------------------------------------------------
 
 def test_missing_subcommand_is_usage_error(capsys):

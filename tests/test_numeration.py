@@ -279,6 +279,18 @@ def test_top_rows_search_only_upward(m, monkeypatch):
         top = _top_rows(m, n).top
         assert top == j, (n, top, j)
         assert starts[0] <= top <= starts[0] + 4, (n, starts[0], top)
+    # the step down, a safety net no estimate needs: from a log2(beta) three times too
+    # small, the search starts above n's top for n below U_128, and steps down to it;
+    # each step reads a row below the window, by a doubling of its own
+    plan = _plan(m)
+    monkeypatch.setattr(plan, "log2_beta", plan.log2_beta / 3)
+    above = 0
+    for n, j in cases:
+        if j in (0, 1, 2, 63, 64, 126, 127):
+            starts.clear()
+            assert _top_rows(m, n).top == j, (n, j)
+            above += starts[0] > j
+    assert above, above
 
 
 @pytest.mark.parametrize("m", BASELINE, ids=str)
@@ -519,6 +531,22 @@ def test_place_rows_read_every_place_from_any_top(m):
 
 
 @pytest.mark.parametrize("m", CERTIFIED, ids=str)
+def test_times_shifts_one_window_by_another(m):
+    # (s_i, s_{i-1}) times (s_j, s_{j-1}) is (s_{i+j}, s_{i+j-1}), as _window and rows
+    # summed one at a time give it: every i, j across the end of the s list, and seeded
+    # ones up to 3,000.  Row j is (s_j - (1 - simple) s_{j-1}, s_{j-1})
+    plan, rng = _plan(m), random.Random(m.p % 983 * 13 + m.q)
+    pairs = [(i, j) for i in range(131) for j in range(131)]
+    pairs += [(rng.randrange(3001), rng.randrange(3001)) for _ in range(30)]
+    wanted = {k for pair in pairs for k in (*pair, sum(pair))}
+    rows = zip(range(max(wanted) + 1), ref_rows(m))
+    expected = {j: (a + b - plan.simple * b, b) for j, (a, b) in rows if j in wanted}
+    for i, j in pairs:
+        window = numeration._times(plan, numeration._window(plan, i), numeration._window(plan, j))
+        assert window == numeration._window(plan, i + j) == expected[i + j], (i, j)
+
+
+@pytest.mark.parametrize("m", CERTIFIED, ids=str)
 def test_greedy_digits_certified_around_u(m):
     # U_j - 1, U_j and U_j + 1 sit on a place's edge; j <= 600 crosses the
     # end of the row list and the splits at 128, 256 and 512
@@ -608,7 +636,7 @@ def test_last_split_estimates_within_the_jump_bound(m):
     for k in range(5):
         h = 128 << k
         for top in (h + 1, 3 * h // 2, 2 * h - 1):
-            last, u, _, _, _, scale = numeration._splits(plan, top)[-1]
+            last, u, _, _, scale = numeration._splits(plan, top)[-1]
             assert last == h
             rows, bound = place_rows(m, top), u_value(m, top + 1)
             for x in (rng.randrange(bound), rng.randrange(bound), bound - 1):

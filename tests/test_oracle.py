@@ -13,6 +13,7 @@ from parryac import (
     OracleInstabilityError,
     ParikhVector,
     ac,
+    ac_range,
     fixed_point_prefix,
     make_morphism,
     oracle_ac,
@@ -166,6 +167,19 @@ def test_oracle_ac_equals_closed_form_up_to_p12(p):
             got = oracle_ac(m, n)
             assert got.stabilized
             assert got.ac == ac(m, n).value, (m, n)
+
+
+@pytest.mark.parametrize("p", range(1, 41))
+def test_ac_range_equals_the_level_walk_up_to_p40(p):
+    # every morphism with this p, the Sturmian simple (p, 1) among them, at every
+    # n <= 2000: the closed form's range against the oracle's certified level walk;
+    # a mismatch names the morphism and its first n, as verify's MISMATCH line does
+    morphisms = ([make_morphism(p, q, "simple") for q in range(1, p + 1)]
+                 + [make_morphism(p, q, "nonsimple") for q in range(1, p)])
+    for m in morphisms:
+        extrema = oracle._certified_extrema(m, 1, 2000)
+        for got, (_, low, high) in zip(ac_range(m, 1, 2000), extrema, strict=True):
+            assert got.value == 1 + high - low, f"MISMATCH {m} n={got.n}"
 
 
 @pytest.mark.parametrize("p, q, family, n", [
